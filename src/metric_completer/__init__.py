@@ -22,8 +22,6 @@ from .params import (
     fork_range,
     is_magic,
     magic_distances,
-    magic_oracle,
-    require_acceptable,
     require_magic,
     time_function,
     validate_params,
@@ -55,7 +53,6 @@ from .completion import (
     complete_magic,
     oracle_complete,
     oracle_completions,
-    oracle_value_ranges,
     shortest_path_completion,
 )
 from .obstacles import (

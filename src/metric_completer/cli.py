@@ -40,7 +40,6 @@ from .params import (
     fork_families,
     fork_range,
     magic_distances,
-    require_acceptable,
     require_magic,
 )
 
@@ -57,12 +56,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _params_from(args) -> Params:
-    params = Params(args.delta, args.k, args.c)
-    require_acceptable(params)
-    return params
 
 
 def _pick_magic(params: Params, requested) -> int:
@@ -90,12 +83,11 @@ def _file_params(args, file_params: Params) -> Params:
             raise ParameterError(
                 f"parameters {stated} disagree with the graph file ({stored})"
             )
-    require_acceptable(file_params)
     return file_params
 
 
 def cmd_magic(args) -> int:
-    params = _params_from(args)
+    params = Params(args.delta, args.k, args.c)
     magics = magic_distances(params)
     magic = _pick_magic(params, args.magic)
     print("magic:", " ".join(str(m) for m in magics))
@@ -115,7 +107,7 @@ def cmd_magic(args) -> int:
 
 
 def cmd_forks(args) -> int:
-    params = _params_from(args)
+    params = Params(args.delta, args.k, args.c)
     magic = _pick_magic(params, args.magic)
     print(f"forks for delta={params.delta} k={params.k} c={params.c} M={magic}")
     for a in range(1, params.delta + 1):
@@ -184,7 +176,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_obstacles(args) -> int:
-    params = _params_from(args)
+    params = Params(args.delta, args.k, args.c)
     magic = _pick_magic(params, args.magic)
     catalogue = enumerate_obstacle_cycles(
         params, args.n, method=args.method, magic=magic, budget=args.budget

@@ -7,18 +7,17 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import CapacityError, PreconditionError
 from .graphs import EdgeLabelledGraph, TriangleViolation, violations
 from .params import (
     Params,
     TriangleStatus,
+    _status_table,
     classify_triangle,
     default_magic,
     distance_at_rank,
     fork_families,
-    require_acceptable,
     require_magic,
 )
 
@@ -108,7 +107,6 @@ def complete_magic(
     already contains one fails immediately.  Defaults to the maximum magic
     distance when ``magic`` is omitted.
     """
-    require_acceptable(params)
     if magic is None:
         magic = default_magic(params)
     require_magic(magic, params)
@@ -173,7 +171,6 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
 
     Disconnected pairs get delta.  Existing edges are kept as they are.
     """
-    require_acceptable(params)
     n = g.vertex_count
     big = float("inf")
     dist = [[big] * n for _ in range(n)]
@@ -207,21 +204,6 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
     return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
 
 
-@lru_cache(maxsize=None)
-def _allowed_table(params: Params):
-    """allowed[a][b][c] over 0..delta, False whenever an index is 0."""
-    delta = params.delta
-    table = [
-        [[False] * (delta + 1) for _ in range(delta + 1)] for _ in range(delta + 1)
-    ]
-    for a in range(1, delta + 1):
-        for b in range(1, delta + 1):
-            row = table[a][b]
-            for c in range(1, delta + 1):
-                row[c] = classify_triangle(a, b, c, params) is TriangleStatus.ALLOWED
-    return table
-
-
 def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
     """Yield (pairs, values) for every completion of ``g``, depth first.
 
@@ -229,7 +211,6 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
     vertex is fully connected before the next one starts; ``values`` is
     reused between yields and must be copied by consumers that keep it.
     """
-    require_acceptable(params)
     delta = params.delta
     pairs = tuple(sorted(g.non_edges(), key=lambda p: (p[1], p[0])))
     if pairs and delta ** len(pairs) > budget:
@@ -241,7 +222,8 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
         return
     n = g.vertex_count
     dist = g.matrix()
-    allowed = _allowed_table(params)
+    status_of = _status_table(params)
+    allowed = TriangleStatus.ALLOWED
     values = [0] * len(pairs)
 
     def search(i: int):
@@ -258,7 +240,13 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
                     continue
                 a = row_u[w]
                 b = row_v[w]
-                if a and b and not allowed[a][b][val]:
+                if not (a and b):
+                    continue
+                try:
+                    status = status_of[a][b][val]
+                except IndexError:  # a label above delta
+                    status = classify_triangle(a, b, val, params)
+                if status is not allowed:
                     ok = False
                     break
             if ok:
@@ -286,36 +274,6 @@ def oracle_complete(
 ) -> EdgeLabelledGraph | None:
     """The first completion found by exhaustive search, or None."""
     return next(oracle_completions(g, params, budget), None)
-
-
-def oracle_value_ranges(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):
-    """Exhaust all completions, tracking each unset pair's extreme values.
-
-    Returns (count, ranges) where ranges maps each unset pair to the
-    (smallest, largest) value it takes over all completions; count is the
-    number of completions.
-    """
-    count = 0
-    lows: list[int] | None = None
-    highs: list[int] | None = None
-    kept_pairs = None
-    for pairs, values in _completion_values(g, params, budget):
-        kept_pairs = pairs
-        if lows is None:
-            lows = list(values)
-            highs = list(values)
-        else:
-            for i, val in enumerate(values):
-                if val < lows[i]:
-                    lows[i] = val
-                elif val > highs[i]:
-                    highs[i] = val
-        count += 1
-    if count == 0:
-        return 0, {}
-    return count, {
-        pair: (lows[i], highs[i]) for i, pair in enumerate(kept_pairs)
-    }
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
-from .params import Params, TriangleStatus, classify_triangle, require_acceptable
+from .params import Params, TriangleStatus, _status_table, classify_triangle
 
 
 class EdgeLabelledGraph:
@@ -30,7 +30,7 @@ class EdgeLabelledGraph:
             raise FormatError(f"bad vertex count {vertex_count!r}")
         normalized: dict[tuple[int, int], int] = {}
         for u, v, d in edges:
-            if not all(isinstance(x, int) for x in (u, v, d)):
+            if not all(isinstance(x, int) for x in (u, v, d)) or isinstance(d, bool):
                 raise FormatError(f"bad edge ({u!r}, {v!r}, {d!r})")
             if u == v:
                 raise FormatError(f"loop at vertex {u}")
@@ -99,7 +99,6 @@ class EdgeLabelledGraph:
 
 def build_graph(vertex_count: int, edge_list, params: Params) -> EdgeLabelledGraph:
     """Validated construction from (u, v, distance) triples."""
-    require_acceptable(params)
     g = EdgeLabelledGraph(vertex_count, edge_list)
     for (u, v), d in g.edges.items():
         if d > params.delta:
@@ -142,7 +141,8 @@ class TriangleViolation:
 
 def violations(g: EdgeLabelledGraph, params: Params) -> list[TriangleViolation]:
     """All forbidden triangles among fully specified triples, in scan order."""
-    require_acceptable(params)
+    status_of = _status_table(params)
+    allowed = TriangleStatus.ALLOWED
     out = []
     edges = g.edges
     for i, j, k in itertools.combinations(range(g.vertex_count), 3):
@@ -155,8 +155,11 @@ def violations(g: EdgeLabelledGraph, params: Params) -> list[TriangleViolation]:
         c = edges.get((j, k))
         if c is None:
             continue
-        status = classify_triangle(a, b, c, params)
-        if status is not TriangleStatus.ALLOWED:
+        try:
+            status = status_of[a][b][c]
+        except IndexError:  # a label above delta
+            status = classify_triangle(a, b, c, params)
+        if status is not allowed:
             out.append(TriangleViolation((i, j, k), tuple(sorted((a, b, c))), status))
     return out
 
@@ -303,7 +306,7 @@ def parse_graph(text: str) -> tuple[Params, EdgeLabelledGraph]:
     Edge lines may come in any order; blank lines and '#' comments are
     ignored.
     """
-    params = None
+    param_values = None
     vertex_count = None
     triples = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -317,11 +320,11 @@ def parse_graph(text: str) -> tuple[Params, EdgeLabelledGraph]:
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer field in {line!r}")
         if keyword == "params":
-            if params is not None:
+            if param_values is not None:
                 raise FormatError(f"line {lineno}: repeated params line")
             if len(values) != 3:
                 raise FormatError(f"line {lineno}: params needs delta k c")
-            params = Params(*values)
+            param_values = values
         elif keyword == "vertices":
             if vertex_count is not None:
                 raise FormatError(f"line {lineno}: repeated vertices line")
@@ -334,10 +337,11 @@ def parse_graph(text: str) -> tuple[Params, EdgeLabelledGraph]:
             triples.append(tuple(values))
         else:
             raise FormatError(f"line {lineno}: unknown keyword {keyword!r}")
-    if params is None:
+    if param_values is None:
         raise FormatError("missing params line")
     if vertex_count is None:
         raise FormatError("missing vertices line")
+    params = Params(*param_values)
     return params, build_graph(vertex_count, triples, params)
 
 

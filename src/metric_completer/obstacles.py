@@ -15,7 +15,6 @@ from .params import (
     TriangleStatus,
     default_magic,
     fork_families,
-    require_acceptable,
     require_magic,
 )
 
@@ -148,7 +147,6 @@ def substitute_forks(cycle, params: Params, magic: int | None = None):
     Candidates are raw label sequences in position order, not canonicalized,
     and not all of them are non-completable.
     """
-    require_acceptable(params)
     seq = tuple(cycle)
     if len(seq) < 3:
         raise RangeError("a cycle needs at least 3 labels")
@@ -179,7 +177,6 @@ def enumerate_obstacle_cycles(
     forbidden triangles by fork substitution, filtering each generation with
     the engine; it can only reach substitution-generated cycles.
     """
-    require_acceptable(params)
     if size < 3:
         raise RangeError("cycles need at least 3 edges")
     if method not in ("exhaustive", "substitution"):
@@ -235,7 +232,6 @@ def verify_catalogue(
     same-length canonical non-entries must complete.
     """
     params = catalogue.params
-    require_acceptable(params)
     for cyc in catalogue.cycles:
         if oracle_complete(cycle_graph(cyc), params, budget) is not None:
             return CatalogueReport(

@@ -4,8 +4,9 @@ A class of finite integer metric spaces is described by three integers:
 ``delta`` bounds every distance, every triangle perimeter must stay strictly
 below ``c``, and every odd triangle perimeter must be at least ``2*k + 1``.
 This module validates parameter triples, classifies distance triples against
-the three constraints, computes the magic distances, and builds the fork
-families and insertion schedule that drive the completion engine.
+the three constraints (once per triple, into a cached status table), computes
+the magic distances, and builds the fork families and insertion schedule that
+drive the completion engine.
 """
 
 from __future__ import annotations
@@ -25,15 +26,22 @@ class Params:
     """Class parameters.
 
     Distances live in 1..delta.  Acceptability requires delta >= 2,
-    1 <= k <= delta and 2*delta + k < c <= 3*delta + 1.
+    1 <= k <= delta and 2*delta + k < c <= 3*delta + 1.  Construction raises
+    ParameterError for an unacceptable triple, so every Params is acceptable
+    and nothing downstream checks it again.
     """
 
     delta: int
     k: int
     c: int
 
-    def check(self) -> "ParamCheck":
-        return validate_params(self.delta, self.k, self.c)
+    def __post_init__(self):
+        check = validate_params(self.delta, self.k, self.c)
+        if not check.accepted:
+            raise ParameterError(
+                f"unacceptable parameters delta={self.delta} k={self.k} "
+                f"c={self.c}: {check.reason}"
+            )
 
 
 @dataclass(frozen=True)
@@ -62,15 +70,6 @@ def validate_params(delta, k, c) -> ParamCheck:
     return ParamCheck(True)
 
 
-def require_acceptable(params: Params) -> None:
-    check = params.check()
-    if not check.accepted:
-        raise ParameterError(
-            f"unacceptable parameters delta={params.delta} k={params.k} "
-            f"c={params.c}: {check.reason}"
-        )
-
-
 class TriangleStatus(Enum):
     ALLOWED = "allowed"
     NON_METRIC = "non-metric"
@@ -89,7 +88,6 @@ def classify_triangle(a: int, b: int, c: int, params: Params) -> TriangleStatus:
     The order is fixed: a triple failing several predicates reports the first
     of non-metric, odd-short, long-perimeter.  Symmetric in a, b, c.
     """
-    require_acceptable(params)
     for value in (a, b, c):
         _check_distance(value, params)
     perimeter = a + b + c
@@ -102,31 +100,35 @@ def classify_triangle(a: int, b: int, c: int, params: Params) -> TriangleStatus:
     return TriangleStatus.ALLOWED
 
 
+@lru_cache(maxsize=None)
+def _status_table(params: Params) -> list[list[list[TriangleStatus | None]]]:
+    """status[a][b][c] = classify_triangle(a, b, c, params) over 0..delta,
+    None wherever an index is 0.
+
+    A label above delta makes the lookup raise IndexError; callers then call
+    classify_triangle, which raises RangeError.
+    """
+    span = range(params.delta + 1)
+    return [
+        [
+            [classify_triangle(a, b, c, params) if a and b and c else None for c in span]
+            for b in span
+        ]
+        for a in span
+    ]
+
+
 def magic_distances(params: Params) -> tuple[int, ...]:
     """All magic distances, ascending.
 
     A distance m is magic when max(k, ceil(delta/2)) <= m <= (c-delta-1)//2.
-    Equivalently, the triangle (m, m, b) is allowed for every b; see
-    magic_oracle.  Nonempty for every acceptable triple.
+    Equivalently, the triangle (m, m, b) is allowed for every b; the tests
+    check this closed form against a classify_triangle sweep.  Nonempty for
+    every acceptable triple.
     """
-    require_acceptable(params)
     low = max(params.k, (params.delta + 1) // 2)
     high = (params.c - params.delta - 1) // 2
     return tuple(range(low, high + 1))
-
-
-def magic_oracle(params: Params) -> tuple[int, ...]:
-    """Magic distances computed the slow way, by sweeping classify_triangle."""
-    require_acceptable(params)
-    allowed = TriangleStatus.ALLOWED
-    return tuple(
-        a
-        for a in range(1, params.delta + 1)
-        if all(
-            classify_triangle(a, a, b, params) is allowed
-            for b in range(1, params.delta + 1)
-        )
-    )
 
 
 def is_magic(magic: int, params: Params) -> bool:
@@ -146,15 +148,11 @@ def default_magic(params: Params) -> int:
 
 def fork_range(a: int, b: int, params: Params) -> tuple[int, ...]:
     """All distances that close the fork (a, b) into an allowed triangle."""
-    require_acceptable(params)
     _check_distance(a, params)
     _check_distance(b, params)
+    row = _status_table(params)[a][b]
     allowed = TriangleStatus.ALLOWED
-    return tuple(
-        x
-        for x in range(1, params.delta + 1)
-        if classify_triangle(a, b, x, params) is allowed
-    )
+    return tuple(x for x in range(1, params.delta + 1) if row[x] is allowed)
 
 
 def fork_choice(a: int, b: int, magic: int, params: Params) -> int:
@@ -233,7 +231,6 @@ class ForkFamilies:
 @lru_cache(maxsize=None)
 def fork_families(magic: int, params: Params) -> ForkFamilies:
     """Build the fork families of ``magic`` for every distance except magic."""
-    require_acceptable(params)
     require_magic(magic, params)
     delta, cap = params.delta, params.c
     pairs = [

@@ -270,11 +270,13 @@ def oracle_sweep():
     }
 
 
+@pytest.mark.slow
 def test_criterion_07_engine_decides_membership(oracle_sweep):
     assert oracle_sweep["decision"] == []
     assert oracle_sweep["elapsed"] < 1800
 
 
+@pytest.mark.slow
 def test_criterion_08_completions_sandwiched(oracle_sweep):
     # every oracle completion stays on the engine's side of the magic
     # distance: checked by pinning each excluded value as an input edge and
@@ -298,6 +300,7 @@ def test_criterion_09_time_consistency():
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.slow
 def test_criterion_10_automorphisms_preserved(oracle_sweep):
     assert oracle_sweep["auto"] == []
 

@@ -14,17 +14,19 @@ from metric_completer import (
     ParameterError,
     Params,
     PreconditionError,
+    RangeError,
     TriangleStatus,
     check_sandwich,
     complete_magic,
     cycle_graph,
     oracle_complete,
     oracle_completions,
-    oracle_value_ranges,
     shortest_path_completion,
     time_function,
     violations,
 )
+
+from oracles import oracle_value_ranges
 
 PAR = Params(6, 2, 15)
 
@@ -271,6 +273,13 @@ class TestOracle:
     def test_budget_is_enforced(self):
         with pytest.raises(CapacityError):
             oracle_complete(EdgeLabelledGraph(7), PAR, budget=10**6)
+
+    def test_label_beyond_delta_is_a_range_error(self):
+        # the 7 sits in no complete triangle of the input, so only the search
+        # meets it, when it tries to close the pair (0, 2)
+        g = EdgeLabelledGraph(3, [(0, 1, 7), (1, 2, 1)])
+        with pytest.raises(RangeError, match="distance 7 outside 1..6"):
+            oracle_complete(g, PAR)
 
 
 class TestSandwich:

@@ -10,6 +10,7 @@ from metric_completer import (
     CapacityError,
     EdgeLabelledGraph,
     FormatError,
+    ParameterError,
     Params,
     PreconditionError,
     RangeError,
@@ -26,6 +27,8 @@ from metric_completer import (
     verify_eppa_witness,
     violations,
 )
+
+from oracles import violations_oracle
 
 PAR = Params(6, 2, 15)
 
@@ -87,6 +90,8 @@ class TestGraph:
             EdgeLabelledGraph(2, [(0, 1, 0)])
         with pytest.raises(ValueError):
             EdgeLabelledGraph(2, [(0, 2, 1)])
+        with pytest.raises(FormatError, match="bad edge"):
+            EdgeLabelledGraph(2, [(0, 1, True)])
 
     def test_duplicate_edge_with_same_label_is_fine(self):
         g = EdgeLabelledGraph(2, [(0, 1, 3), (1, 0, 3)])
@@ -159,6 +164,28 @@ class TestViolations:
         found = violations(g, PAR)
         assert len(found) == 4  # every triangle has perimeter 15
         assert {v.status for v in found} == {TriangleStatus.LONG_PERIMETER}
+
+    def test_matches_per_triangle_classification(self):
+        # differential check of the table-driven scan against one
+        # classify_triangle call per triangle
+        rng = random.Random(2)
+        for delta in range(2, 7):
+            for k in range(1, delta + 1):
+                for c in range(2 * delta + k + 1, 3 * delta + 2):
+                    par = Params(delta, k, c)
+                    for _ in range(6):
+                        g = random_graph(rng, rng.randint(3, 12), delta,
+                                         edge_prob=rng.choice((0.3, 0.6, 0.9)))
+                        assert violations(g, par) == violations_oracle(g, par), (par, g)
+
+    def test_label_beyond_delta_in_a_triangle(self):
+        g = EdgeLabelledGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (1, 3, 7)])
+        assert violations(g, PAR) == violations_oracle(g, PAR) == []
+        closed = EdgeLabelledGraph(3, [(0, 1, 1), (1, 2, 7), (0, 2, 6)])
+        with pytest.raises(RangeError, match="distance 7 outside 1..6"):
+            violations(closed, PAR)
+        with pytest.raises(RangeError, match="distance 7 outside 1..6"):
+            violations_oracle(closed, PAR)
 
 
 class TestHomomorphism:
@@ -375,6 +402,7 @@ class TestFileFormat:
             "params 6 2 15\nvertices 2\nedge 0 2 1\n",
             "params 6 2 15\nvertices 2\nedge 0 1 1\nedge 1 0 2\n",
             "params 6 2 15\nvertices 2\nwat 0 1 1\n",
+            "params 6 7 15\nvertices 2\nedge 0 1\n",  # the line 3 error wins
         ],
     )
     def test_parse_rejects(self, text):
@@ -384,6 +412,10 @@ class TestFileFormat:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(FormatError, match="line 3"):
             parse_graph("params 6 2 15\nvertices 2\nedge 0 1\n")
+
+    def test_parse_rejects_unacceptable_params(self):
+        with pytest.raises(ParameterError, match="k exceeds delta"):
+            parse_graph("params 6 7 15\nvertices 2\nedge 0 1 1\n")
 
     def test_parse_enforces_delta_on_labels(self):
         with pytest.raises(RangeError):

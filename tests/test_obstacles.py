@@ -11,6 +11,7 @@ from metric_completer import (
     EdgeLabelledGraph,
     FormatError,
     ObstacleCatalogue,
+    ParameterError,
     Params,
     PreconditionError,
     RangeError,
@@ -209,6 +210,7 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_obstacle_cycles(PAR, 6, budget=10)
 
+    @pytest.mark.slow
     def test_decider_agrees_with_oracle_everywhere(self):
         # engine-as-decider versus the exhaustive oracle, every acceptable
         # triple at delta 6, every canonical cycle up to length 6; roughly
@@ -299,3 +301,7 @@ class TestCatalogueFormat:
     def test_parse_rejects(self, text):
         with pytest.raises(FormatError):
             parse_catalogue(text)
+
+    def test_parse_rejects_unacceptable_params(self):
+        with pytest.raises(ParameterError, match="k exceeds delta"):
+            parse_catalogue("catalogue 6 7 15 5 exhaustive\n")

@@ -19,12 +19,13 @@ from metric_completer import (
     fork_range,
     is_magic,
     magic_distances,
-    magic_oracle,
-    require_acceptable,
     require_magic,
     time_function,
     validate_params,
 )
+from metric_completer.params import _status_table
+
+from oracles import magic_oracle
 
 PAR = Params(6, 2, 15)
 
@@ -69,9 +70,13 @@ class TestValidate:
         assert not validate_params("6", 2, 15).accepted
 
     def test_require_acceptable_raises(self):
-        with pytest.raises(ParameterError, match="k exceeds delta"):
-            require_acceptable(Params(6, 7, 15))
-        require_acceptable(PAR)
+        # construction is the only check: an unacceptable triple never exists
+        with pytest.raises(ParameterError) as exc:
+            Params(6, 7, 15)
+        assert str(exc.value) == (
+            "unacceptable parameters delta=6 k=7 c=15: k exceeds delta"
+        )
+        assert Params(6, 2, 15) == PAR
 
 
 class TestClassify:
@@ -141,6 +146,21 @@ class TestClassify:
     def test_unacceptable_params_rejected(self):
         with pytest.raises(ParameterError):
             classify_triangle(1, 1, 1, Params(6, 7, 15))
+
+    def test_status_table_matches_classify_triangle(self):
+        # the cached table that violations, fork_range and the oracle read in
+        # place of classify_triangle; its size matters too, because a label
+        # above delta must miss the table to reach classify_triangle's check
+        for par in acceptable_triples(8):
+            table = _status_table(par)
+            span = range(par.delta + 1)
+            assert len(table) == len(span), par
+            assert all(len(row) == len(span) for plane in table for row in plane), par
+            for a, b, c in itertools.product(span, repeat=3):
+                if a and b and c:
+                    assert table[a][b][c] is classify_triangle(a, b, c, par), (par, a, b, c)
+                else:
+                    assert table[a][b][c] is None, (par, a, b, c)
 
 
 class TestMagic:
