@@ -9,18 +9,15 @@ from .errors import (
     RangeError,
 )
 from .params import (
-    FamilyBucket,
     ForkFamilies,
     Params,
     ParamCheck,
     TriangleStatus,
     classify_triangle,
     default_magic,
-    distance_at_rank,
     fork_choice,
     fork_families,
     fork_range,
-    is_magic,
     magic_distances,
     require_magic,
     time_function,

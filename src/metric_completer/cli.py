@@ -32,16 +32,7 @@ from .obstacles import (
     obstacle_trace,
     verify_catalogue,
 )
-from .params import (
-    Params,
-    default_magic,
-    distance_at_rank,
-    fork_choice,
-    fork_families,
-    fork_range,
-    magic_distances,
-    require_magic,
-)
+from .params import Params, fork_families, fork_range, magic_distances
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,13 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _pick_magic(params: Params, requested) -> int:
-    if requested is None:
-        return default_magic(params)
-    require_magic(requested, params)
-    return requested
 
 
 def _read_graph(path: str):
@@ -88,18 +72,12 @@ def _file_params(args, file_params: Params) -> Params:
 
 def cmd_magic(args) -> int:
     params = Params(args.delta, args.k, args.c)
-    magics = magic_distances(params)
-    magic = _pick_magic(params, args.magic)
-    print("magic:", " ".join(str(m) for m in magics))
+    families = fork_families(args.magic, params)
+    magic = families.magic
+    print("magic:", " ".join(str(m) for m in magic_distances(params)))
     print(f"M = {magic}")
-    families = fork_families(magic, params)
-    for rank in range(1, 2 * params.delta + 1):
-        x = distance_at_rank(rank, magic, params.delta)
-        if x is None:
-            continue
-        forks = sorted({(min(f), max(f)) for f in families.family(x)})
-        if not forks:
-            continue
+    for rank, x, fam in families.schedule:
+        forks = sorted({(min(f), max(f)) for f in fam})
         shown = " ".join(f"({a},{b})" for a, b in forks)
         print(f"rank {rank}: distance {x} from forks {shown}")
     print(f"final: distance {magic} for every remaining pair")
@@ -108,12 +86,13 @@ def cmd_magic(args) -> int:
 
 def cmd_forks(args) -> int:
     params = Params(args.delta, args.k, args.c)
-    magic = _pick_magic(params, args.magic)
+    families = fork_families(args.magic, params)
+    magic = families.magic
     print(f"forks for delta={params.delta} k={params.k} c={params.c} M={magic}")
     for a in range(1, params.delta + 1):
         for b in range(a, params.delta + 1):
             allowed = fork_range(a, b, params)
-            choice = fork_choice(a, b, magic, params)
+            choice = families.choice[(a, b)]
             cell = " ".join(f"{x}*" if x == choice else str(x) for x in allowed)
             print(f"({a},{b}): {cell}")
     return EXIT_OK
@@ -146,7 +125,7 @@ def _complete_json(params, magic, result) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _complete_dot(g, result) -> list[str]:
+def _complete_dot(result) -> list[str]:
     inserted = {(s.u, s.v): s for s in result.trace.steps}
     lines = ["graph completion {"]
     for (u, v), d in sorted(result.trace.final_graph.edges.items()):
@@ -162,12 +141,12 @@ def _complete_dot(g, result) -> list[str]:
 def cmd_complete(args) -> int:
     file_params, g = _read_graph(args.graph)
     params = _file_params(args, file_params)
-    magic = _pick_magic(params, args.magic)
+    magic = fork_families(args.magic, params).magic
     result = complete_magic(g, params, magic)
     if args.format == "json":
         print(_complete_json(params, magic, result))
     elif args.format == "dot":
-        print("\n".join(_complete_dot(g, result)))
+        print("\n".join(_complete_dot(result)))
     else:
         print("\n".join(_complete_text(params, magic, result)))
     if result.status is CompletionStatus.COMPLETED:
@@ -177,9 +156,8 @@ def cmd_complete(args) -> int:
 
 def cmd_obstacles(args) -> int:
     params = Params(args.delta, args.k, args.c)
-    magic = _pick_magic(params, args.magic)
     catalogue = enumerate_obstacle_cycles(
-        params, args.n, method=args.method, magic=magic, budget=args.budget
+        params, args.n, method=args.method, magic=args.magic, budget=args.budget
     )
     text = format_catalogue(catalogue)
     if args.output:
@@ -207,8 +185,7 @@ def cmd_obstacles(args) -> int:
 def cmd_trace_obstacle(args) -> int:
     file_params, g = _read_graph(args.graph)
     params = _file_params(args, file_params)
-    magic = _pick_magic(params, args.magic)
-    witness = obstacle_trace(g, params, magic)
+    witness = obstacle_trace(g, params, args.magic)
     sides = ",".join(str(d) for d in witness.seed_distances)
     verts = ",".join(str(v) for v in witness.seed_vertices)
     print(f"seed: vertices ({verts}) distances {sides} {witness.seed_status.value}")
@@ -280,10 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, RangeError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ParameterError, RangeError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

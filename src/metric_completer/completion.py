@@ -15,10 +15,7 @@ from .params import (
     TriangleStatus,
     _status_table,
     classify_triangle,
-    default_magic,
-    distance_at_rank,
     fork_families,
-    require_magic,
 )
 
 
@@ -107,9 +104,8 @@ def complete_magic(
     already contains one fails immediately.  Defaults to the maximum magic
     distance when ``magic`` is omitted.
     """
-    if magic is None:
-        magic = default_magic(params)
-    require_magic(magic, params)
+    families = fork_families(magic, params)
+    magic = families.magic
     for (u, v), d in g.edges.items():
         if d > params.delta:
             raise PreconditionError(
@@ -124,15 +120,8 @@ def complete_magic(
 
     n = g.vertex_count
     dist = g.matrix()
-    families = fork_families(magic, params)
     steps: list[TraceStep] = []
-    for rank in range(1, 2 * params.delta + 1):
-        x = distance_at_rank(rank, magic, params.delta)
-        if x is None:
-            continue
-        fam = families.family(x)
-        if not fam:
-            continue
+    for rank, x, fam in families.schedule:
         additions = []
         for u in range(n):
             row_u = dist[u]

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 from .completion import CompletionStatus, Family, complete_magic, oracle_complete
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
 from .graphs import EdgeLabelledGraph, canonical_cycle, cycle_graph
-from .params import (
-    Params,
-    TriangleStatus,
-    default_magic,
-    fork_families,
-    require_magic,
-)
+from .params import Params, TriangleStatus, fork_families
 
 
 @dataclass(frozen=True)
@@ -147,17 +141,14 @@ def substitute_forks(cycle, params: Params, magic: int | None = None):
     Candidates are raw label sequences in position order, not canonicalized,
     and not all of them are non-completable.
     """
+    families = fork_families(magic, params)
     seq = tuple(cycle)
     if len(seq) < 3:
         raise RangeError("a cycle needs at least 3 labels")
-    if magic is None:
-        magic = default_magic(params)
-    require_magic(magic, params)
-    families = fork_families(magic, params)
+    if not all(1 <= x <= params.delta for x in seq):
+        raise RangeError(f"cycle {seq} has a label outside 1..{params.delta}")
     out = []
     for i, x in enumerate(seq):
-        if x == magic:
-            continue
         for a, b in sorted(families.family(x)):
             out.append(seq[:i] + (a, b) + seq[i + 1 :])
     return out
@@ -177,13 +168,11 @@ def enumerate_obstacle_cycles(
     forbidden triangles by fork substitution, filtering each generation with
     the engine; it can only reach substitution-generated cycles.
     """
+    magic = fork_families(magic, params).magic
     if size < 3:
         raise RangeError("cycles need at least 3 edges")
     if method not in ("exhaustive", "substitution"):
         raise FormatError(f"unknown method {method!r}")
-    if magic is None:
-        magic = default_magic(params)
-    require_magic(magic, params)
     if params.delta**size > budget:
         raise CapacityError(
             f"{params.delta ** size} label sequences exceed the budget of {budget}"
@@ -220,16 +209,15 @@ class CatalogueReport:
     failure: str | None = None
 
 
-def verify_catalogue(
-    catalogue: ObstacleCatalogue,
-    budget: int = 10**8,
-    sample_size: int = 20,
-    seed: int = 0,
-) -> CatalogueReport:
+_SAMPLE_SIZE = 20
+_SAMPLE_SEED = 0
+
+
+def verify_catalogue(catalogue: ObstacleCatalogue, budget: int = 10**8) -> CatalogueReport:
     """Cross-check a catalogue against the exhaustive oracle.
 
     Every entry must refuse completion outright; a seeded random sample of
-    same-length canonical non-entries must complete.
+    _SAMPLE_SIZE same-length canonical non-entries must complete.
     """
     params = catalogue.params
     for cyc in catalogue.cycles:
@@ -243,9 +231,8 @@ def verify_catalogue(
         for seq in _canonical_cycles(params.delta, catalogue.size)
         if seq not in entries
     ]
-    rng = random.Random(seed)
-    if len(others) > sample_size:
-        others = rng.sample(others, sample_size)
+    if len(others) > _SAMPLE_SIZE:
+        others = random.Random(_SAMPLE_SEED).sample(others, _SAMPLE_SIZE)
     for cyc in others:
         if oracle_complete(cycle_graph(cyc), params, budget) is None:
             return CatalogueReport(
@@ -305,6 +292,8 @@ def parse_catalogue(text: str) -> ObstacleCatalogue:
         cyc = parse_cycle_labels(line)
         if len(cyc) != size:
             raise FormatError(f"cycle {line!r} does not have {size} labels")
+        if not all(1 <= x <= delta for x in cyc):
+            raise FormatError(f"cycle {line!r} has a label outside 1..{delta}")
         if canonical_cycle(cyc) != cyc:
             raise FormatError(f"cycle {line!r} is not in canonical form")
         cycles.append(cyc)

@@ -131,12 +131,8 @@ def magic_distances(params: Params) -> tuple[int, ...]:
     return tuple(range(low, high + 1))
 
 
-def is_magic(magic: int, params: Params) -> bool:
-    return magic in magic_distances(params)
-
-
 def require_magic(magic: int, params: Params) -> None:
-    if not is_magic(magic, params):
+    if not _is_positive_int(magic) or magic not in magic_distances(params):
         choices = " ".join(str(m) for m in magic_distances(params))
         raise ParameterError(f"{magic} not magic (magic distances: {choices})")
 
@@ -156,18 +152,12 @@ def fork_range(a: int, b: int, params: Params) -> tuple[int, ...]:
 
 
 def fork_choice(a: int, b: int, magic: int, params: Params) -> int:
-    """The completion the engine picks for the fork (a, b).
-
-    This is the allowed distance nearest to magic.  The allowed values on or
-    above magic form a gap-free run, so the nearest value is unique: magic
-    itself when allowed, otherwise the endpoint of the allowed range facing
-    magic.
-    """
-    require_magic(magic, params)
-    allowed = fork_range(a, b, params)
-    if not allowed:
-        raise ParameterError(f"fork ({a}, {b}) has no allowed completion")
-    return min(allowed, key=lambda x: (abs(x - magic), x))
+    """The completion the engine picks for the fork (a, b): the allowed
+    distance nearest to magic (see ForkFamilies.choice)."""
+    choice = fork_families(magic, params).choice
+    _check_distance(a, params)
+    _check_distance(b, params)
+    return choice[(a, b)]
 
 
 def time_function(x: int, magic: int, delta: int) -> int:
@@ -184,68 +174,55 @@ def time_function(x: int, magic: int, delta: int) -> int:
     return 2 * (delta - x)
 
 
-def distance_at_rank(rank: int, magic: int, delta: int) -> int | None:
-    """Inverse of time_function: the distance inserted at ``rank``, or None."""
-    if rank % 2 == 1:
-        x = (rank + 1) // 2
-        if x < magic:
-            return x
-    else:
-        x = delta - rank // 2
-        if x > magic:
-            return x
-    return None
-
-
-@dataclass(frozen=True)
-class FamilyBucket:
-    """The forks that can produce one distance, split by generating rule."""
-
-    distance: int
-    sum_forks: frozenset[Fork]  # a + b = distance
-    diff_forks: frozenset[Fork]  # |a - b| = distance
-    cap_forks: frozenset[Fork]  # (c - 1) - a - b = distance
-
-
 @dataclass(frozen=True)
 class ForkFamilies:
-    """The fork families of one magic distance, one bucket per other distance.
+    """The fork choices and insertion schedule of one magic distance.
 
-    Below magic a distance is produced by its sum and cap forks, above magic
-    by its difference forks.  Empty buckets are kept so that the insertion
-    schedule can be read off uniformly.
+    ``choice[(a, b)]`` is the allowed distance nearest to magic for every fork
+    (a, b) over 1..delta.  The allowed values on or above magic form a
+    gap-free run, so the nearest value is unique: magic itself when allowed,
+    otherwise the endpoint of the allowed range facing magic.
+
+    ``schedule`` lists ``(rank, distance, forks)`` by ascending rank, for each
+    distance other than magic that some fork's choice inserts.  Below magic
+    the forks are the sum and cap forks of the distance, above magic its
+    difference forks; forks whose choice is magic are filled in the final step.
     """
 
     magic: int
-    delta: int
-    buckets: Mapping[int, FamilyBucket]
+    choice: Mapping[Fork, int]
+    schedule: tuple[tuple[int, int, frozenset[Fork]], ...]
 
     def family(self, x: int) -> frozenset[Fork]:
-        """The forks whose presence inserts distance x."""
-        bucket = self.buckets[x]
-        if x < self.magic:
-            return bucket.sum_forks | bucket.cap_forks
-        return bucket.diff_forks
+        """The forks whose presence inserts distance x (empty if none do)."""
+        for _, distance, forks in self.schedule:
+            if distance == x:
+                return forks
+        return frozenset()
 
 
-@lru_cache(maxsize=None)
-def fork_families(magic: int, params: Params) -> ForkFamilies:
-    """Build the fork families of ``magic`` for every distance except magic."""
+@lru_cache(maxsize=None, typed=True)
+def fork_families(magic: int | None, params: Params) -> ForkFamilies:
+    """Resolve, validate and expand a magic distance.
+
+    ``None`` means default_magic(params); anything that is not a magic
+    distance raises ParameterError.  This is the one place a magic distance
+    is checked.  Cached per (magic, params), with 4 and 4.0 kept apart.
+    """
+    if magic is None:
+        magic = default_magic(params)
     require_magic(magic, params)
-    delta, cap = params.delta, params.c
-    pairs = [
-        (a, b)
-        for a in range(1, delta + 1)
-        for b in range(1, delta + 1)
-    ]
-    buckets = {}
-    for x in range(1, delta + 1):
-        if x == magic:
-            continue
-        buckets[x] = FamilyBucket(
-            distance=x,
-            sum_forks=frozenset(p for p in pairs if p[0] + p[1] == x),
-            diff_forks=frozenset(p for p in pairs if abs(p[0] - p[1]) == x),
-            cap_forks=frozenset(p for p in pairs if cap - 1 - p[0] - p[1] == x),
-        )
-    return ForkFamilies(magic=magic, delta=delta, buckets=buckets)
+    delta = params.delta
+    choice = {}
+    inserted: dict[int, set[Fork]] = {}
+    for a in range(1, delta + 1):
+        for b in range(1, delta + 1):
+            x = min(fork_range(a, b, params), key=lambda y: (abs(y - magic), y))
+            choice[(a, b)] = x
+            if x != magic:
+                inserted.setdefault(x, set()).add((a, b))
+    schedule = tuple(sorted(
+        (time_function(x, magic, delta), x, frozenset(forks))
+        for x, forks in inserted.items()
+    ))
+    return ForkFamilies(magic=magic, choice=choice, schedule=schedule)

@@ -29,6 +29,26 @@ def magic_oracle(params: Params) -> tuple[int, ...]:
     )
 
 
+def families_oracle(magic: int, params: Params) -> dict[int, frozenset]:
+    """The paper's fork families, read off their generating rules.
+
+    Below magic a distance x is produced by its sum forks (a + b = x) and
+    its cap forks (c - 1 - a - b = x), above magic by its difference forks
+    (|a - b| = x).  One entry per distance other than magic, empty ones kept.
+    """
+    span = range(1, params.delta + 1)
+    pairs = list(itertools.product(span, repeat=2))
+    out = {}
+    for x in span:
+        if x < magic:
+            out[x] = frozenset(
+                (a, b) for a, b in pairs if a + b == x or params.c - 1 - a - b == x
+            )
+        elif x > magic:
+            out[x] = frozenset((a, b) for a, b in pairs if abs(a - b) == x)
+    return out
+
+
 def violations_oracle(g: EdgeLabelledGraph, params: Params) -> list[TriangleViolation]:
     """The forbidden triangles of ``g``, one classify_triangle call per fully
     specified triple, in the scan order of ``violations``."""

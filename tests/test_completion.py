@@ -141,6 +141,19 @@ class TestCompleteMagic:
         with pytest.raises(ParameterError):
             complete_magic(fork_input(1, 1), PAR, 5)
 
+    def test_rejects_non_integer_magic(self):
+        # True == 1 and 4.0 == 4 are magic values by equality; the cache is
+        # warmed with the integers first so that it cannot answer for them
+        g = cycle_graph((1, 1, 1, 1))
+        for par, magic, fake in ((Params(2, 1, 7), 1, True), (PAR, 4, 4.0)):
+            assert complete_magic(g, par, magic).status is CompletionStatus.COMPLETED
+            with pytest.raises(ParameterError, match=rf"{fake} not magic"):
+                complete_magic(g, par, fake)
+
+    def test_magic_checked_before_labels(self):
+        with pytest.raises(ParameterError):
+            complete_magic(EdgeLabelledGraph(2, [(0, 1, 7)]), PAR, 5)
+
     def test_rejects_labels_beyond_delta(self):
         with pytest.raises(PreconditionError):
             complete_magic(EdgeLabelledGraph(2, [(0, 1, 7)]), PAR, 4)

@@ -164,6 +164,11 @@ class TestSubstitution:
         for cand in substitute_forks((1, 2, 4), PAR):
             assert len(cand) == 4
 
+    def test_rejects_labels_outside_range(self):
+        for cycle in ((1, 1, 7), (0, 1, 1)):
+            with pytest.raises(RangeError, match="outside 1..6"):
+                substitute_forks(cycle, PAR)
+
 
 class TestEnumeration:
     def test_triangles(self):
@@ -296,6 +301,8 @@ class TestCatalogueFormat:
             "catalogue 6 2 15 5 exhaustive\n11115\n11115\n",  # duplicate
             "catalogue 6 2 15 5 exhaustive\n1111\n",  # wrong length
             "catalogue 6 2 15 5 wat\n",  # unknown method
+            "catalogue 6 2 15 4 exhaustive\n0111\n",  # label below 1
+            "catalogue 6 2 15 4 exhaustive\n1117\n",  # label above delta
         ],
     )
     def test_parse_rejects(self, text):

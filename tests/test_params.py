@@ -13,11 +13,9 @@ from metric_completer import (
     TriangleStatus,
     classify_triangle,
     default_magic,
-    distance_at_rank,
     fork_choice,
     fork_families,
     fork_range,
-    is_magic,
     magic_distances,
     require_magic,
     time_function,
@@ -25,7 +23,7 @@ from metric_completer import (
 )
 from metric_completer.params import _status_table
 
-from oracles import magic_oracle
+from oracles import families_oracle, magic_oracle
 
 PAR = Params(6, 2, 15)
 
@@ -183,8 +181,10 @@ class TestMagic:
         assert default_magic(Params(2, 1, 7)) == 2
 
     def test_is_magic_and_require(self):
-        assert is_magic(3, PAR) and is_magic(4, PAR)
-        assert not is_magic(2, PAR)
+        require_magic(3, PAR)
+        require_magic(4, PAR)
+        with pytest.raises(ParameterError, match="2 not magic"):
+            require_magic(2, PAR)
         with pytest.raises(ParameterError, match=r"5 not magic \(magic distances: 3 4\)"):
             require_magic(5, PAR)
 
@@ -270,6 +270,18 @@ class TestForkChoice:
         with pytest.raises(ParameterError):
             fork_choice(1, 1, 5, PAR)
 
+    def test_rejects_non_integer_magic(self):
+        # True == 1 and 4.0 == 4 are magic values by equality; the cache is
+        # warmed with the integers first so that it cannot answer for them
+        for par, magic, fake in ((Params(2, 1, 7), 1, True), (PAR, 4, 4.0)):
+            fork_choice(1, 1, magic, par)
+            with pytest.raises(ParameterError, match=rf"{fake} not magic"):
+                fork_choice(1, 1, fake, par)
+
+    def test_out_of_range_fork(self):
+        with pytest.raises(RangeError):
+            fork_choice(7, 1, 4, PAR)
+
 
 class TestTimeFunction:
     def test_reference_ranks(self):
@@ -297,19 +309,19 @@ class TestTimeFunction:
         assert time_function(5, 4, 5) == 0
 
     def test_distance_at_rank_inverts(self):
+        # the schedule lists each inserted distance once, at its rank, in
+        # rank order; rank 0 (delta above magic) never carries a fork
         for par in acceptable_triples(8):
             for magic in magic_distances(par):
-                seen = []
-                for rank in range(1, 2 * par.delta + 1):
-                    x = distance_at_rank(rank, magic, par.delta)
-                    if x is None:
-                        continue
+                schedule = fork_families(magic, par).schedule
+                ranks = [rank for rank, _, _ in schedule]
+                assert ranks == sorted(set(ranks)), (par, magic)
+                assert all(rank >= 1 for rank in ranks), (par, magic)
+                for rank, x, forks in schedule:
                     assert time_function(x, magic, par.delta) == rank
-                    seen.append(x)
-                expected = [x for x in range(1, par.delta + 1) if x != magic]
+                    assert forks, (par, magic, x)
                 if magic < par.delta:
-                    expected.remove(par.delta)  # rank 0, before the loop
-                assert sorted(seen) == expected
+                    assert par.delta not in [x for _, x, _ in schedule]
 
     def test_out_of_range(self):
         with pytest.raises(RangeError):
@@ -327,46 +339,62 @@ class TestForkFamilies:
         assert fams.family(1) == frozenset()
 
     def test_buckets_match_generating_rules(self):
-        for par in acceptable_triples(5):
+        for par in acceptable_triples(6):
             for magic in magic_distances(par):
                 fams = fork_families(magic, par)
-                pairs = list(itertools.product(range(1, par.delta + 1), repeat=2))
-                for x, bucket in fams.buckets.items():
-                    assert bucket.sum_forks == {p for p in pairs if sum(p) == x}
-                    assert bucket.diff_forks == {
-                        p for p in pairs if abs(p[0] - p[1]) == x
-                    }
-                    assert bucket.cap_forks == {
-                        p for p in pairs if par.c - 1 - sum(p) == x
-                    }
+                expected = families_oracle(magic, par)
+                for x, forks in expected.items():
+                    assert fams.family(x) == forks, (par, magic, x)
+                assert {x: forks for _, x, forks in fams.schedule} == {
+                    x: forks for x, forks in expected.items() if forks
+                }, (par, magic)
 
     def test_family_split_at_magic(self):
+        # every fork sits in the family its choice names: the sum or cap
+        # family below magic, the difference family above, none at magic
         fams = fork_families(4, PAR)
-        for x, bucket in fams.buckets.items():
-            if x < 4:
-                assert fams.family(x) == bucket.sum_forks | bucket.cap_forks
+        expected = families_oracle(4, PAR)
+        for fork, x in fams.choice.items():
+            if x == 4:
+                assert all(fork not in forks for forks in expected.values())
             else:
-                assert fams.family(x) == bucket.diff_forks
+                assert fork in fams.family(x) and fork in expected[x]
+                a, b = fork
+                if x < 4:
+                    assert x in (a + b, PAR.c - 1 - a - b)
+                else:
+                    assert x == abs(a - b)
 
     def test_no_fork_for_difference_delta(self):
-        # |a - b| <= delta - 1, so the difference bucket of delta is empty
+        # |a - b| <= delta - 1, so the difference family of delta is empty
         for par in acceptable_triples(6):
             for magic in magic_distances(par):
                 if magic < par.delta:
-                    assert not fork_families(magic, par).buckets[par.delta].diff_forks
+                    assert not families_oracle(magic, par)[par.delta]
+                    assert not fork_families(magic, par).family(par.delta)
 
     def test_empty_buckets_are_kept(self):
+        # the schedule skips a distance no fork inserts, and family() answers
+        # it with the empty set
         fams = fork_families(4, PAR)
-        assert set(fams.buckets) == {1, 2, 3, 5, 6}
+        expected = families_oracle(4, PAR)
+        assert set(expected) == {1, 2, 3, 5, 6}
+        assert [x for _, x, _ in fams.schedule] == [5, 2, 3]
+        for x, forks in expected.items():
+            assert fams.family(x) == forks
+        assert fams.family(1) == frozenset()
         assert isinstance(fams, ForkFamilies)
 
     def test_at_most_one_rule_per_fork(self):
-        # a fork can generate a given distance through only one of the three
-        # rules, so insertion is unambiguous
+        # a fork generates its distance through only one of the three rules,
+        # and sits in only one family, so insertion is unambiguous
         for par in acceptable_triples(6):
             for magic in magic_distances(par):
                 fams = fork_families(magic, par)
-                for x, bucket in fams.buckets.items():
-                    rules = [bucket.sum_forks, bucket.diff_forks, bucket.cap_forks]
-                    for one, other in itertools.combinations(rules, 2):
-                        assert not (one & other), (par, magic, x)
+                seen = set()
+                for _, x, forks in fams.schedule:
+                    assert not (seen & forks), (par, magic, x)
+                    seen |= forks
+                    for a, b in forks:
+                        rules = [a + b == x, abs(a - b) == x, par.c - 1 - a - b == x]
+                        assert rules.count(True) == 1, (par, magic, x, (a, b))
