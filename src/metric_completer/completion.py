@@ -97,12 +97,13 @@ def complete_magic(
 
     Each rank carries one distance (see time_function).  At a rank, every
     non-edge with a witness vertex whose two distances form a fork of that
-    distance's family receives the distance; the insertions of one rank are
-    simultaneous, collected before any of them lands.  Pairs still open after
-    the last rank receive the magic distance.  The result is Failed exactly
-    when the finished graph contains a forbidden triangle, and an input that
-    already contains one fails immediately.  Defaults to the maximum magic
-    distance when ``magic`` is omitted.
+    distance's family receives the distance, as soon as it is found: no fork
+    of a family has the family's distance as an arm, so a pair filled earlier
+    in the rank is never a witness.  Pairs still open after the last rank
+    receive the magic distance.  The result is Failed exactly when the
+    finished graph contains a forbidden triangle, and an input that already
+    contains one fails immediately.  Defaults to the maximum magic distance
+    when ``magic`` is omitted.
     """
     families = fork_families(magic, params)
     magic = families.magic
@@ -122,7 +123,6 @@ def complete_magic(
     dist = g.matrix()
     steps: list[TraceStep] = []
     for rank, x, fam in families.schedule:
-        additions = []
         for u in range(n):
             row_u = dist[u]
             for v in range(u + 1, n):
@@ -134,11 +134,11 @@ def complete_magic(
                     a = row_u[w]
                     b = dist[w][v]
                     if a and b and (a, b) in fam:
-                        additions.append((u, v, w, a, b))
+                        row_u[v] = dist[v][u] = x
+                        steps.append(
+                            TraceStep(rank, x, u, v, w, (a, b), _family_tag(a, b, x, params))
+                        )
                         break
-        for u, v, w, a, b in additions:
-            dist[u][v] = dist[v][u] = x
-            steps.append(TraceStep(rank, x, u, v, w, (a, b), _family_tag(a, b, x, params)))
 
     final_rank = 2 * params.delta + 1
     for u in range(n):
@@ -193,6 +193,20 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
     return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
 
 
+def _count_over_budget(base: int, exponent: int, budget: int) -> str | None:
+    """``base ** exponent`` as text when it exceeds ``budget``, else None.
+
+    A count that may pass 64 bits is written ``base^exponent``.  As base >= 2,
+    such a count is over budget once exponent >= budget.bit_length(), and the
+    power is not built then.
+    """
+    if exponent * base.bit_length() <= 64:
+        count = base**exponent
+        return str(count) if count > budget else None
+    over = exponent >= budget.bit_length() or base**exponent > budget
+    return f"{base}^{exponent}" if over else None
+
+
 def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
     """Yield (pairs, values) for every completion of ``g``, depth first.
 
@@ -202,9 +216,10 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
     """
     delta = params.delta
     pairs = tuple(sorted(g.non_edges(), key=lambda p: (p[1], p[0])))
-    if pairs and delta ** len(pairs) > budget:
+    count = _count_over_budget(delta, len(pairs), budget) if pairs else None
+    if count is not None:
         raise CapacityError(
-            f"{len(pairs)} unset pairs mean {delta ** len(pairs)} assignments, "
+            f"{len(pairs)} unset pairs mean {count} assignments, "
             f"over the budget of {budget}"
         )
     if violations(g, params):

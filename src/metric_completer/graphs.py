@@ -1,8 +1,8 @@
 """Edge-labelled graphs with partial integer distances.
 
 Also the brute-force searches used to certify results on small instances:
-homomorphism and automorphism search, partial automorphisms, and the
-extension-property verifier built on them.
+one backtracking search for homomorphisms, automorphisms and partial
+automorphisms, and the extension-property verifier built on them.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ class EdgeLabelledGraph:
     __slots__ = ("vertex_count", "edges", "_hash")
 
     def __init__(self, vertex_count: int, edges=()):
-        if not isinstance(vertex_count, int) or vertex_count < 0:
+        if type(vertex_count) is not int or vertex_count < 0:
             raise FormatError(f"bad vertex count {vertex_count!r}")
         normalized: dict[tuple[int, int], int] = {}
         for u, v, d in edges:
-            if not all(isinstance(x, int) for x in (u, v, d)) or isinstance(d, bool):
+            if not all(type(x) is int for x in (u, v, d)):
                 raise FormatError(f"bad edge ({u!r}, {v!r}, {d!r})")
             if u == v:
                 raise FormatError(f"loop at vertex {u}")
@@ -164,55 +164,56 @@ def violations(g: EdgeLabelledGraph, params: Params) -> list[TriangleViolation]:
     return out
 
 
+def _distance_maps(source: EdgeLabelledGraph, target: EdgeLabelledGraph, embed: bool):
+    """Yield, as image tuples in lexicographic order, every map of ``source``
+    into ``target`` that preserves each defined distance, by backtracking.
+
+    With ``embed`` non-edges must map to non-edges too; as distinct vertices
+    are never at distance 0, that also makes the map injective.
+    """
+    n = source.vertex_count
+    m = target.vertex_count
+    rows = [[target.distance(x, y) for y in range(m)] for x in range(m)]
+    constraints = [
+        [(j, d) for j in range(i) if (d := source.distance(j, i)) is not None or embed]
+        for i in range(n)
+    ]
+    images = [0] * n
+
+    def extend(i: int):
+        if i == n:
+            yield tuple(images)
+            return
+        checks = constraints[i]
+        for candidate in range(m):
+            row = rows[candidate]
+            for j, d in checks:  # a plain loop: all() over a generator is ~3x slower
+                if row[images[j]] != d:
+                    break
+            else:
+                images[i] = candidate
+                yield from extend(i + 1)
+
+    return extend(0)
+
+
 def find_homomorphism(source: EdgeLabelledGraph, target: EdgeLabelledGraph):
     """A map preserving every defined distance, by backtracking; None if none.
 
     The map may identify vertices of ``source`` as long as no edge collapses.
-    Returns the first map found in lexicographic image order.
+    Returns the first map in lexicographic image order.
     """
-    n = source.vertex_count
-    images: list[int] = []
-
-    def extend(i: int):
-        if i == n:
-            return tuple(images)
-        for candidate in range(target.vertex_count):
-            ok = True
-            for j in range(i):
-                d = source.distance(j, i)
-                if d is not None and target.distance(images[j], candidate) != d:
-                    ok = False
-                    break
-            if ok:
-                images.append(candidate)
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-                images.pop()
-        return None
-
-    if n == 0:
-        return ()
-    if target.vertex_count == 0:
-        return None
-    return extend(0)
+    return next(_distance_maps(source, target, embed=False), None)
 
 
 def automorphisms(g: EdgeLabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:
-    """All distance-preserving vertex bijections, by scanning permutations.
+    """All distance-preserving vertex bijections, in lexicographic order.
 
     Non-edges must map to non-edges, so this is exact for partial graphs too.
     """
-    n = g.vertex_count
-    if n > max_vertices:
+    if g.vertex_count > max_vertices:
         raise CapacityError(f"automorphism search capped at {max_vertices} vertices")
-    pairs = list(itertools.combinations(range(n), 2))
-    dist = g.distance
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if all(dist(perm[u], perm[v]) == dist(u, v) for u, v in pairs):
-            out.append(perm)
-    return out
+    return list(_distance_maps(g, g, embed=True))
 
 
 def is_partial_automorphism(g: EdgeLabelledGraph, mapping: dict[int, int]) -> bool:
@@ -234,19 +235,18 @@ def is_partial_automorphism(g: EdgeLabelledGraph, mapping: dict[int, int]) -> bo
 def partial_automorphisms(g: EdgeLabelledGraph, max_vertices: int = 5):
     """Every partial automorphism, ordered by domain and then by images.
 
+    Each domain's maps are the embeddings of its induced subgraph into ``g``.
     Includes the empty map and all singleton maps.
     """
     n = g.vertex_count
     if n > max_vertices:
         raise CapacityError(f"partial automorphism search capped at {max_vertices} vertices")
-    out = []
-    for size in range(n + 1):
-        for dom in itertools.combinations(range(n), size):
-            for images in itertools.permutations(range(n), size):
-                mapping = dict(zip(dom, images))
-                if is_partial_automorphism(g, mapping):
-                    out.append(mapping)
-    return out
+    return [
+        dict(zip(dom, images))
+        for size in range(n + 1)
+        for dom in itertools.combinations(range(n), size)
+        for images in _distance_maps(g.induced(dom), g, embed=True)
+    ]
 
 
 @dataclass(frozen=True)

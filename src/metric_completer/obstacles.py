@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .completion import CompletionStatus, Family, complete_magic, oracle_complete
+from .completion import _count_over_budget
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
 from .graphs import EdgeLabelledGraph, canonical_cycle, cycle_graph
 from .params import Params, TriangleStatus, fork_families
@@ -124,9 +125,11 @@ class ObstacleCatalogue:
 
 
 def _canonical_cycles(delta: int, size: int):
-    for seq in itertools.product(range(1, delta + 1), repeat=size):
-        if canonical_cycle(seq) == seq:
-            yield seq
+    for first in range(1, delta + 1):  # a canonical sequence starts with its minimum
+        for rest in itertools.product(range(first, delta + 1), repeat=size - 1):
+            seq = (first,) + rest
+            if canonical_cycle(seq) == seq:
+                yield seq
 
 
 def _completes(labels, params: Params, magic: int) -> bool:
@@ -173,10 +176,9 @@ def enumerate_obstacle_cycles(
         raise RangeError("cycles need at least 3 edges")
     if method not in ("exhaustive", "substitution"):
         raise FormatError(f"unknown method {method!r}")
-    if params.delta**size > budget:
-        raise CapacityError(
-            f"{params.delta ** size} label sequences exceed the budget of {budget}"
-        )
+    count = _count_over_budget(params.delta, size, budget)
+    if count is not None:
+        raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
 
     if method == "exhaustive":
         found = [
@@ -284,6 +286,8 @@ def parse_catalogue(text: str) -> ObstacleCatalogue:
         delta, k, c, size = (int(x) for x in header[1:5])
     except ValueError:
         raise FormatError("non-integer field in catalogue header")
+    if size < 3:
+        raise FormatError(f"catalogue size {size} is below 3")
     method = header[5]
     if method not in ("exhaustive", "substitution"):
         raise FormatError(f"unknown method {method!r}")

@@ -49,6 +49,19 @@ def families_oracle(magic: int, params: Params) -> dict[int, frozenset]:
     return out
 
 
+def automorphisms_oracle(g: EdgeLabelledGraph) -> list[tuple[int, ...]]:
+    """Every vertex permutation that preserves each distance and non-edge,
+    found by scanning all permutations in lexicographic order."""
+    n = g.vertex_count
+    pairs = list(itertools.combinations(range(n), 2))
+    dist = g.distance
+    return [
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(dist(perm[u], perm[v]) == dist(u, v) for u, v in pairs)
+    ]
+
+
 def violations_oracle(g: EdgeLabelledGraph, params: Params) -> list[TriangleViolation]:
     """The forbidden triangles of ``g``, one classify_triangle call per fully
     specified triple, in the scan order of ``violations``."""

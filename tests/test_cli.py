@@ -277,6 +277,14 @@ class TestObstacles:
         assert code == 3
         assert err == "error: 46656 label sequences exceed the budget of 10\n"
 
+    @pytest.mark.parametrize("n", ["6000", "100000000"])
+    def test_huge_cycle_length_is_refused_at_once(self, capsys, n):
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15", "--n", n,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: 6^{n} label sequences exceed the budget of 100000000\n"
+
 
 class TestTraceObstacle:
     def test_backtrace(self, capsys, graph_file):

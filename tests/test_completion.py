@@ -25,6 +25,7 @@ from metric_completer import (
     time_function,
     violations,
 )
+from metric_completer.completion import _count_over_budget
 
 from oracles import oracle_value_ranges
 
@@ -286,6 +287,26 @@ class TestOracle:
     def test_budget_is_enforced(self):
         with pytest.raises(CapacityError):
             oracle_complete(EdgeLabelledGraph(7), PAR, budget=10**6)
+
+    def test_budget_check_does_not_build_the_power(self):
+        # 5995 unset pairs: 6**5995 is never built, and it has too many
+        # digits to format, so the message writes it as a power
+        with pytest.raises(CapacityError, match=r"5995 unset pairs mean 6\^5995 assignments"):
+            oracle_complete(EdgeLabelledGraph(110), PAR)
+        with pytest.raises(CapacityError, match="21 unset pairs mean 21936950640377856 "):
+            oracle_complete(EdgeLabelledGraph(7), PAR, budget=10**6)
+
+    def test_budget_shortcut_builds_no_power(self):
+        class NoPower(int):
+            def __pow__(self, exponent):
+                raise AssertionError("the power was built")
+
+        assert _count_over_budget(NoPower(6), 100, 10**8) == "6^100"
+        assert _count_over_budget(NoPower(2), 70, 10**8) == "2^70"
+        assert _count_over_budget(6, 6, 10) == "46656"
+        assert _count_over_budget(6, 6, 46656) is None
+        assert _count_over_budget(2, 100, 2**100) is None
+        assert _count_over_budget(2, 100, 2**100 - 1) == "2^100"
 
     def test_label_beyond_delta_is_a_range_error(self):
         # the 7 sits in no complete triangle of the input, so only the search

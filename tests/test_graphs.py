@@ -28,7 +28,7 @@ from metric_completer import (
     violations,
 )
 
-from oracles import violations_oracle
+from oracles import automorphisms_oracle, violations_oracle
 
 PAR = Params(6, 2, 15)
 
@@ -92,6 +92,12 @@ class TestGraph:
             EdgeLabelledGraph(2, [(0, 2, 1)])
         with pytest.raises(FormatError, match="bad edge"):
             EdgeLabelledGraph(2, [(0, 1, True)])
+        with pytest.raises(FormatError, match="bad vertex count"):
+            EdgeLabelledGraph(True)
+        with pytest.raises(FormatError, match="bad edge"):
+            EdgeLabelledGraph(2, [(False, True, 1)])
+        with pytest.raises(FormatError, match="bad edge"):
+            EdgeLabelledGraph(2, [(0, True, 1)])
 
     def test_duplicate_edge_with_same_label_is_fine(self):
         g = EdgeLabelledGraph(2, [(0, 1, 3), (1, 0, 3)])
@@ -207,18 +213,23 @@ class TestHomomorphism:
         assert hom[0] == hom[2]
 
     def test_matches_exhaustive_enumeration(self):
+        # the first map in lexicographic order, or None; empty graphs included
         rng = random.Random(7)
         for _ in range(150):
-            src = random_graph(rng, rng.randint(1, 4), 3)
-            dst = random_graph(rng, rng.randint(1, 4), 3)
-            brute = any(
-                all(
-                    dst.distance(m[u], m[v]) == d
-                    for (u, v), d in src.edges.items()
-                )
-                for m in itertools.product(range(dst.vertex_count), repeat=src.vertex_count)
+            src = random_graph(rng, rng.randint(0, 4), 3)
+            dst = random_graph(rng, rng.randint(0, 4), 3)
+            first = next(
+                (
+                    m
+                    for m in itertools.product(range(dst.vertex_count), repeat=src.vertex_count)
+                    if all(
+                        dst.distance(m[u], m[v]) == d
+                        for (u, v), d in src.edges.items()
+                    )
+                ),
+                None,
             )
-            assert (find_homomorphism(src, dst) is not None) == brute
+            assert find_homomorphism(src, dst) == first
 
     def test_returned_map_is_valid(self):
         rng = random.Random(8)
@@ -267,6 +278,21 @@ class TestAutomorphisms:
                 for t in auts:
                     assert tuple(s[t[i]] for i in range(n)) in auts
 
+    def test_matches_permutation_scan(self):
+        # same maps in the same order as scanning every permutation
+        graphs = [
+            EdgeLabelledGraph(n, [(u, v, d) for (u, v), d in zip(itertools.combinations(range(n), 2), labels) if d])
+            for n in (0, 1, 2, 3)
+            for labels in itertools.product((0, 1, 2), repeat=n * (n - 1) // 2)
+        ]
+        rng = random.Random(5)
+        for _ in range(200):
+            graphs.append(
+                random_graph(rng, rng.randint(0, 6), rng.randint(1, 3), rng.random())
+            )
+        for g in graphs:
+            assert automorphisms(g) == automorphisms_oracle(g), g
+
     def test_capacity_bound(self):
         with pytest.raises(CapacityError):
             automorphisms(EdgeLabelledGraph(10))
@@ -302,11 +328,16 @@ class TestPartialAutomorphisms:
             for m in listed:
                 assert is_partial_automorphism(g, m)
             n = g.vertex_count
+            scanned = []
             for size in range(n + 1):
                 for dom in itertools.combinations(range(n), size):
                     for img in itertools.permutations(range(n), size):
                         m = dict(zip(dom, img))
-                        assert is_partial_automorphism(g, m) == (m in listed)
+                        holds = is_partial_automorphism(g, m)
+                        assert holds == (m in listed)
+                        if holds:
+                            scanned.append(m)
+            assert listed == scanned  # same order too: by domain, then by images
 
     def test_capacity_bound(self):
         with pytest.raises(CapacityError):

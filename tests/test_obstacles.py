@@ -303,6 +303,8 @@ class TestCatalogueFormat:
             "catalogue 6 2 15 5 wat\n",  # unknown method
             "catalogue 6 2 15 4 exhaustive\n0111\n",  # label below 1
             "catalogue 6 2 15 4 exhaustive\n1117\n",  # label above delta
+            "catalogue 6 2 15 2 exhaustive\n11\n",  # size below 3
+            "catalogue 6 2 15 0 exhaustive\n",  # size below 3, no entries
         ],
     )
     def test_parse_rejects(self, text):

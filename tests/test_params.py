@@ -385,6 +385,15 @@ class TestForkFamilies:
         assert fams.family(1) == frozenset()
         assert isinstance(fams, ForkFamilies)
 
+    def test_no_fork_has_its_own_distance_as_an_arm(self):
+        # complete_magic lands each insertion of a rank at once: a pair just
+        # filled with x can only be a witness arm if some fork of family(x)
+        # has x as an arm
+        for par in acceptable_triples(8):
+            for magic in magic_distances(par):
+                for _, x, forks in fork_families(magic, par).schedule:
+                    assert all(x not in fork for fork in forks), (par, magic, x)
+
     def test_at_most_one_rule_per_fork(self):
         # a fork generates its distance through only one of the three rules,
         # and sits in only one family, so insertion is unambiguous
