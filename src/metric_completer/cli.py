@@ -12,11 +12,7 @@ import argparse
 import json
 import sys
 
-from .completion import (
-    CompletionStatus,
-    Family,
-    complete_magic,
-)
+from .completion import CompletionStatus, complete_magic
 from .errors import (
     CapacityError,
     FormatError,

@@ -90,6 +90,9 @@ def _family_tag(a: int, b: int, x: int, params: Params) -> Family:
     return Family.CAP
 
 
+MAX_VERTICES = 1000
+
+
 def complete_magic(
     g: EdgeLabelledGraph, params: Params, magic: int | None = None
 ) -> CompletionResult:
@@ -97,60 +100,95 @@ def complete_magic(
 
     Each rank carries one distance (see time_function).  At a rank, every
     non-edge with a witness vertex whose two distances form a fork of that
-    distance's family receives the distance, as soon as it is found: no fork
-    of a family has the family's distance as an arm, so a pair filled earlier
-    in the rank is never a witness.  Pairs still open after the last rank
-    receive the magic distance.  The result is Failed exactly when the
-    finished graph contains a forbidden triangle, and an input that already
-    contains one fails immediately.  Defaults to the maximum magic distance
-    when ``magic`` is omitted.
+    distance's family receives the distance, in row-major order; the witness
+    is the lowest such vertex.  Pairs still open after the last rank receive
+    the magic distance.  The result is Failed exactly when the finished graph
+    contains a forbidden triangle, and an input that already contains one
+    fails immediately.  Defaults to the maximum magic distance when ``magic``
+    is omitted.  A graph of more than MAX_VERTICES vertices raises
+    CapacityError before anything is allocated.
+
+    The engine keeps one bitset per label and vertex: bit v of ``N[d][u]`` is
+    set when the distance from u to v is d, and bit v > u of ``N[0][u]`` when
+    the pair (u, v) is open.  The witnesses of an open pair (u, v) at rank x
+    are the set bits of the OR over forks (a, b) of family(x) of
+    ``N[a][u] & N[b][v]``.  No fork of a family has the family's distance as
+    an arm, so a pair filled earlier in the rank is never a witness, and
+    ``N[x]`` is updated in place.
     """
     families = fork_families(magic, params)
     magic = families.magic
+    n = g.vertex_count
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
     for (u, v), d in g.edges.items():
         if d > params.delta:
             raise PreconditionError(
                 f"edge ({u}, {v}) carries {d}, beyond delta={params.delta}"
             )
 
-    initial = violations(g, params)
+    dist = g.matrix()
+    initial = violations(g, params, dist)
     if initial:
         return CompletionResult(
             CompletionStatus.FAILED, CompletionTrace((), g), tuple(initial)
         )
 
-    n = g.vertex_count
-    dist = g.matrix()
+    N = [[0] * n for _ in range(params.delta + 1)]
+    opened = N[0] = [((1 << n) - 1) ^ ((2 << u) - 1) for u in range(n)]
+    for (u, v), d in g.edges.items():
+        N[d][u] |= 1 << v
+        N[d][v] |= 1 << u
+        opened[u] ^= 1 << v
     steps: list[TraceStep] = []
     for rank, x, fam in families.schedule:
+        Nx = N[x]
         for u in range(n):
+            if not opened[u]:
+                continue
+            reach = 0  # bit v: a path u -a- w -b- v for some fork (a, b)
+            for a, b in fam:
+                arms = N[a][u]
+                Nb = N[b]
+                while arms:
+                    low = arms & -arms
+                    arms ^= low
+                    reach |= Nb[low.bit_length() - 1]
+            filled = reach & opened[u]
+            if not filled:
+                continue
+            opened[u] ^= filled
+            Nx[u] |= filled
             row_u = dist[u]
-            for v in range(u + 1, n):
-                if row_u[v]:
-                    continue
-                for w in range(n):
-                    if w == u or w == v:
-                        continue
-                    a = row_u[w]
-                    b = dist[w][v]
-                    if a and b and (a, b) in fam:
-                        row_u[v] = dist[v][u] = x
-                        steps.append(
-                            TraceStep(rank, x, u, v, w, (a, b), _family_tag(a, b, x, params))
-                        )
-                        break
+            while filled:
+                low = filled & -filled
+                filled ^= low
+                v = low.bit_length() - 1
+                h = 0
+                for a, b in fam:
+                    h |= N[a][u] & N[b][v]
+                w = (h & -h).bit_length() - 1
+                a = row_u[w]
+                b = dist[w][v]
+                row_u[v] = dist[v][u] = x
+                Nx[v] |= 1 << u
+                steps.append(
+                    TraceStep(rank, x, u, v, w, (a, b), _family_tag(a, b, x, params))
+                )
 
     final_rank = 2 * params.delta + 1
+    triples = []
     for u in range(n):
+        row_u = dist[u]
         for v in range(u + 1, n):
-            if not dist[u][v]:
-                dist[u][v] = dist[v][u] = magic
+            d = row_u[v]
+            if not d:
+                d = row_u[v] = dist[v][u] = magic
                 steps.append(TraceStep(final_rank, magic, u, v, None, None, Family.FINAL))
+            triples.append((u, v, d))
 
-    final = EdgeLabelledGraph(
-        n, [(u, v, dist[u][v]) for u in range(n) for v in range(u + 1, n)]
-    )
-    viol = violations(final, params)
+    final = EdgeLabelledGraph(n, triples)
+    viol = violations(final, params, dist)
     status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
     return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
 
@@ -222,10 +260,10 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
             f"{len(pairs)} unset pairs mean {count} assignments, "
             f"over the budget of {budget}"
         )
-    if violations(g, params):
-        return
     n = g.vertex_count
     dist = g.matrix()
+    if violations(g, params, dist):
+        return
     status_of = _status_table(params)
     allowed = TriangleStatus.ALLOWED
     values = [0] * len(pairs)

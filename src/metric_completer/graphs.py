@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
-from .params import Params, TriangleStatus, _status_table, classify_triangle
+from .params import Params, TriangleStatus, classify_triangle, fork_families
 
 
 class EdgeLabelledGraph:
@@ -139,28 +139,45 @@ class TriangleViolation:
         return f"{self.status.value} {sides} (vertices {verts})"
 
 
-def violations(g: EdgeLabelledGraph, params: Params) -> list[TriangleViolation]:
-    """All forbidden triangles among fully specified triples, in scan order."""
-    status_of = _status_table(params)
-    allowed = TriangleStatus.ALLOWED
+def violations(
+    g: EdgeLabelledGraph, params: Params, matrix: list[list[int]] | None = None
+) -> list[TriangleViolation]:
+    """All forbidden triangles among fully specified triples, in scan order:
+    (i, j, k) ascending with i < j < k.
+
+    Each edge (i, j) walks the rows ``matrix[i][j+1:]`` and
+    ``matrix[j][j+1:]`` against ForkFamilies.bad, where an index of 0 reads
+    None.  ``matrix`` is ``g.matrix()``, passed by a caller that has built it
+    already.  A label above delta misses the table; the graph is then walked
+    triangle by triangle through classify_triangle, which raises RangeError
+    only in a fully specified triangle.
+    """
+    dist = g.matrix() if matrix is None else matrix
+    bad = fork_families(None, params).bad
+    n = g.vertex_count
     out = []
-    edges = g.edges
-    for i, j, k in itertools.combinations(range(g.vertex_count), 3):
-        a = edges.get((i, j))
-        if a is None:
-            continue
-        b = edges.get((i, k))
-        if b is None:
-            continue
-        c = edges.get((j, k))
-        if c is None:
-            continue
-        try:
-            status = status_of[a][b][c]
-        except IndexError:  # a label above delta
-            status = classify_triangle(a, b, c, params)
-        if status is not allowed:
-            out.append(TriangleViolation((i, j, k), tuple(sorted((a, b, c))), status))
+    try:
+        for i in range(n - 2):
+            row_i = dist[i]
+            for j in range(i + 1, n - 1):
+                a = row_i[j]
+                if not a:
+                    continue
+                row_j = dist[j]
+                bad_a = bad[a]
+                for k in range(j + 1, n):
+                    status = bad_a[row_i[k]][row_j[k]]
+                    if status is not None:
+                        sides = tuple(sorted((a, row_i[k], row_j[k])))
+                        out.append(TriangleViolation((i, j, k), sides, status))
+    except IndexError:  # a label above delta
+        out = []
+        for i, j, k in itertools.combinations(range(n), 3):
+            sides = (dist[i][j], dist[i][k], dist[j][k])
+            if all(sides):
+                status = classify_triangle(*sides, params)
+                if status is not TriangleStatus.ALLOWED:
+                    out.append(TriangleViolation((i, j, k), tuple(sorted(sides)), status))
     return out
 
 

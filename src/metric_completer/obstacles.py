@@ -219,9 +219,15 @@ def verify_catalogue(catalogue: ObstacleCatalogue, budget: int = 10**8) -> Catal
     """Cross-check a catalogue against the exhaustive oracle.
 
     Every entry must refuse completion outright; a seeded random sample of
-    _SAMPLE_SIZE same-length canonical non-entries must complete.
+    _SAMPLE_SIZE same-length canonical non-entries must complete.  The
+    non-entries are drawn from every label sequence of the catalogue's size,
+    so a size whose delta**size sequences exceed ``budget`` raises
+    CapacityError before any search.
     """
     params = catalogue.params
+    count = _count_over_budget(params.delta, catalogue.size, budget)
+    if count is not None:
+        raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
     for cyc in catalogue.cycles:
         if oracle_complete(cycle_graph(cyc), params, budget) is not None:
             return CatalogueReport(

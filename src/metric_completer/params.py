@@ -187,11 +187,17 @@ class ForkFamilies:
     distance other than magic that some fork's choice inserts.  Below magic
     the forks are the sum and cap forks of the distance, above magic its
     difference forks; forks whose choice is magic are filled in the final step.
+
+    ``bad[a][b][c]`` is the status table with ALLOWED read as None: the
+    status of a forbidden triangle, None for an allowed one or where an index
+    is 0.  It does not depend on magic; it is kept here so that no second
+    cache keyed on Params is needed.
     """
 
     magic: int
     choice: Mapping[Fork, int]
     schedule: tuple[tuple[int, int, frozenset[Fork]], ...]
+    bad: tuple[tuple[tuple[TriangleStatus | None, ...], ...], ...]
 
     def family(self, x: int) -> frozenset[Fork]:
         """The forks whose presence inserts distance x (empty if none do)."""
@@ -225,4 +231,9 @@ def fork_families(magic: int | None, params: Params) -> ForkFamilies:
         (time_function(x, magic, delta), x, frozenset(forks))
         for x, forks in inserted.items()
     ))
-    return ForkFamilies(magic=magic, choice=choice, schedule=schedule)
+    allowed = TriangleStatus.ALLOWED
+    bad = tuple(
+        tuple(tuple(None if s is allowed else s for s in row) for row in plane)
+        for plane in _status_table(params)
+    )
+    return ForkFamilies(magic=magic, choice=choice, schedule=schedule, bad=bad)

@@ -7,13 +7,20 @@ direct way, one classify_triangle call or one completion at a time.
 import itertools
 
 from metric_completer import (
+    CompletionResult,
+    CompletionStatus,
+    CompletionTrace,
     EdgeLabelledGraph,
+    Family,
     Params,
+    PreconditionError,
+    TraceStep,
     TriangleStatus,
     TriangleViolation,
     classify_triangle,
+    fork_families,
 )
-from metric_completer.completion import _completion_values
+from metric_completer.completion import _completion_values, _family_tag
 
 
 def magic_oracle(params: Params) -> tuple[int, ...]:
@@ -74,6 +81,64 @@ def violations_oracle(g: EdgeLabelledGraph, params: Params) -> list[TriangleViol
         if status is not TriangleStatus.ALLOWED:
             out.append(TriangleViolation((i, j, k), tuple(sorted(sides)), status))
     return out
+
+
+def complete_magic_oracle(
+    g: EdgeLabelledGraph, params: Params, magic: int | None = None
+) -> CompletionResult:
+    """complete_magic the direct way: at each rank, scan every open pair in
+    row-major order and every vertex as its witness, filling the pair at the
+    first witness whose two distances form a fork of the rank's family.  Both
+    triangle checks go through violations_oracle.
+    """
+    families = fork_families(magic, params)
+    magic = families.magic
+    for (u, v), d in g.edges.items():
+        if d > params.delta:
+            raise PreconditionError(
+                f"edge ({u}, {v}) carries {d}, beyond delta={params.delta}"
+            )
+
+    initial = violations_oracle(g, params)
+    if initial:
+        return CompletionResult(
+            CompletionStatus.FAILED, CompletionTrace((), g), tuple(initial)
+        )
+
+    n = g.vertex_count
+    dist = g.matrix()
+    steps = []
+    for rank, x, fam in families.schedule:
+        for u in range(n):
+            row_u = dist[u]
+            for v in range(u + 1, n):
+                if row_u[v]:
+                    continue
+                for w in range(n):
+                    if w == u or w == v:
+                        continue
+                    a = row_u[w]
+                    b = dist[w][v]
+                    if a and b and (a, b) in fam:
+                        row_u[v] = dist[v][u] = x
+                        steps.append(
+                            TraceStep(rank, x, u, v, w, (a, b), _family_tag(a, b, x, params))
+                        )
+                        break
+
+    final_rank = 2 * params.delta + 1
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not dist[u][v]:
+                dist[u][v] = dist[v][u] = magic
+                steps.append(TraceStep(final_rank, magic, u, v, None, None, Family.FINAL))
+
+    final = EdgeLabelledGraph(
+        n, [(u, v, dist[u][v]) for u in range(n) for v in range(u + 1, n)]
+    )
+    viol = violations_oracle(final, params)
+    status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
+    return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
 
 
 def oracle_value_ranges(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):

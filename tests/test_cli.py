@@ -299,6 +299,23 @@ class TestTraceObstacle:
         assert err == "error: input completes; nothing to trace\n"
 
 
+HUGE_GRAPHS = [
+    "params 6 2 15\nvertices 100000000\n",
+    "params 6 2 15\nvertices 20000\nedge 0 1 1\n",
+]
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("command", ["complete", "trace-obstacle"])
+    @pytest.mark.parametrize("text", HUGE_GRAPHS, ids=["1e8", "20000"])
+    def test_oversized_graph_is_refused_at_once(self, capsys, graph_file, command, text):
+        path = graph_file("huge.graph", text)
+        code, out, err = run(capsys, command, path)
+        count = text.split()[5]
+        assert (code, out) == (3, "")
+        assert err == f"error: {count} vertices exceed the engine's cap of 1000\n"
+
+
 class TestErrors:
     def test_unacceptable_params(self, capsys):
         code, _, err = run(capsys, "magic", "--delta", "6", "--k", "7", "--c", "15")

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metric_completer import (
     CapacityError,
@@ -17,24 +18,56 @@ from metric_completer import (
     RangeError,
     TriangleStatus,
     check_sandwich,
+    classify_triangle,
     complete_magic,
     cycle_graph,
+    magic_distances,
     oracle_complete,
     oracle_completions,
     shortest_path_completion,
     time_function,
     violations,
 )
-from metric_completer.completion import _count_over_budget
+from metric_completer.completion import MAX_VERTICES, _count_over_budget
 
-from oracles import oracle_value_ranges
+from oracles import complete_magic_oracle, oracle_value_ranges, violations_oracle
 
 PAR = Params(6, 2, 15)
+
+TRIPLES = [
+    Params(d, k, c)
+    for d in range(2, 7)
+    for k in range(1, d + 1)
+    for c in range(2 * d + k + 1, 3 * d + 2)
+]
 
 
 def fork_input(a, b):
     """Path u-w-v with the two fork distances on the path edges."""
     return EdgeLabelledGraph(3, [(0, 1, a), (1, 2, b)])
+
+
+def outcome(res):
+    return res.status, res.trace.steps, res.trace.final_graph, res.violations
+
+
+def random_tree_graph(rng, n, delta, extra):
+    """A random labelled tree on n vertices plus each other pair with
+    probability ``extra``, labels uniform in 1..delta."""
+    edges = [(rng.randrange(v), v, rng.randint(1, delta)) for v in range(1, n)]
+    tree = {(u, v) for u, v, _ in edges}
+    edges += [
+        (u, v, rng.randint(1, delta))
+        for u, v in itertools.combinations(range(n), 2)
+        if (u, v) not in tree and rng.random() < extra
+    ]
+    return EdgeLabelledGraph(n, edges)
+
+
+def relabel(g, perm):
+    return EdgeLabelledGraph(
+        g.vertex_count, [(perm[u], perm[v], d) for (u, v), d in g.edges.items()]
+    )
 
 
 def replay(g, steps):
@@ -155,6 +188,16 @@ class TestCompleteMagic:
         with pytest.raises(ParameterError):
             complete_magic(EdgeLabelledGraph(2, [(0, 1, 7)]), PAR, 5)
 
+    def test_vertex_cap(self):
+        assert MAX_VERTICES == 1000
+        # at the cap the engine runs: this input fails at its first scan
+        at_cap = EdgeLabelledGraph(MAX_VERTICES, [(0, 1, 1), (1, 2, 3), (0, 2, 5)])
+        assert complete_magic(at_cap, PAR).violations[0].vertices == (0, 1, 2)
+        with pytest.raises(CapacityError, match="^1001 vertices exceed the engine's cap of 1000$"):
+            complete_magic(EdgeLabelledGraph(MAX_VERTICES + 1), PAR)
+        with pytest.raises(CapacityError):
+            complete_magic(EdgeLabelledGraph(10**8), PAR)
+
     def test_rejects_labels_beyond_delta(self):
         with pytest.raises(PreconditionError):
             complete_magic(EdgeLabelledGraph(2, [(0, 1, 7)]), PAR, 4)
@@ -208,6 +251,127 @@ class TestCompleteMagic:
                 "family": "F+",
             }
         ]
+
+
+class TestAgainstTripleLoop:
+    """The bitset engine against complete_magic_oracle, the direct scan of
+    every open pair and every witness that it replaces."""
+
+    def test_random_graphs_every_triple_and_magic(self):
+        rng = random.Random(11)
+        for par in TRIPLES:
+            for magic in magic_distances(par):
+                graphs = [
+                    random_tree_graph(
+                        rng, rng.randint(0, 12), par.delta, rng.choice((0, 0.1, 0.3))
+                    )
+                    for _ in range(30)
+                ] + [
+                    cycle_graph(rng.choices(range(1, par.delta + 1), k=rng.randint(3, 12)))
+                    for _ in range(15)
+                ]
+                for g in graphs:
+                    assert outcome(complete_magic(g, par, magic)) == outcome(
+                        complete_magic_oracle(g, par, magic)
+                    ), (par, magic, g)
+
+    def test_tree_and_sparse_graph_at_60(self):
+        rng = random.Random(12)
+        tree = random_tree_graph(rng, 60, 6, 0)
+        # sparse: random edges, each kept only if it closes no forbidden triangle
+        dist = {}
+        for _ in range(120):
+            u, v = sorted(rng.sample(range(60), 2))
+            d = rng.randint(1, 6)
+            if (u, v) in dist:
+                continue
+            sides = [
+                (dist.get((min(u, w), max(u, w))), dist.get((min(v, w), max(v, w))))
+                for w in range(60)
+                if w != u and w != v
+            ]
+            if all(
+                classify_triangle(d, a, b, PAR) is TriangleStatus.ALLOWED
+                for a, b in sides
+                if a and b
+            ):
+                dist[(u, v)] = d
+        sparse = EdgeLabelledGraph(60, [(u, v, d) for (u, v), d in dist.items()])
+        for g in (tree, sparse):
+            for magic in magic_distances(PAR):
+                res = complete_magic(g, PAR, magic)
+                assert outcome(res) == outcome(complete_magic_oracle(g, PAR, magic))
+                assert len(res.trace.steps) == 60 * 59 // 2 - len(g.edges)
+
+    def test_complete_graphs_against_per_triangle_scan(self):
+        rng = random.Random(13)
+        for n in range(3, 41):
+            par = rng.choice(TRIPLES)
+            # mostly magic labels, so that violations are few and scattered
+            magic = magic_distances(par)[-1]
+            g = EdgeLabelledGraph(n, [
+                (u, v, magic if rng.random() < 0.9 else rng.randint(1, par.delta))
+                for u, v in itertools.combinations(range(n), 2)
+            ])
+            res = complete_magic(g, par)
+            assert res.trace.steps == ()
+            assert res.trace.final_graph == g
+            assert list(res.violations) == violations_oracle(g, par), (par, g)
+            assert violations(g, par) == violations_oracle(g, par)
+
+
+graphs_with_relabelling = st.sampled_from(TRIPLES).flatmap(
+    lambda par: st.tuples(
+        st.just(par),
+        st.sampled_from(magic_distances(par)),
+        st.integers(0, 9).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.sampled_from((0,) * par.delta + tuple(range(1, par.delta + 1))),
+                    min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2,
+                ).map(
+                    lambda labels, n=n: EdgeLabelledGraph(n, [
+                        (u, v, d)
+                        for (u, v), d in zip(itertools.combinations(range(n), 2), labels)
+                        if d
+                    ])
+                ),
+                st.permutations(range(n)),
+            )
+        ),
+    )
+)
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_relabelling)
+    def test_relabelling_commutes_with_completion(self, case):
+        # which witness is found depends on vertex order, the value a pair
+        # gets does not: so the final graph and status follow the relabelling
+        par, magic, (g, perm) = case
+        res = complete_magic(g, par, magic)
+        moved = complete_magic(relabel(g, perm), par, magic)
+        assert moved.status is res.status
+        assert moved.trace.final_graph == relabel(res.trace.final_graph, perm)
+        triangles = {
+            (frozenset(perm[i] for i in v.vertices), v.distances, v.status)
+            for v in res.violations
+        }
+        assert triangles == {
+            (frozenset(v.vertices), v.distances, v.status) for v in moved.violations
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_relabelling)
+    def test_completing_a_completion_changes_nothing(self, case):
+        par, magic, (g, _) = case
+        res = complete_magic(g, par, magic)
+        if res.status is CompletionStatus.COMPLETED:
+            final = res.trace.final_graph
+            again = complete_magic(final, par, magic)
+            assert outcome(again) == (CompletionStatus.COMPLETED, (), final, ())
 
 
 class TestShortestPath:

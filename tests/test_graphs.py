@@ -193,6 +193,19 @@ class TestViolations:
         with pytest.raises(RangeError, match="distance 7 outside 1..6"):
             violations_oracle(closed, PAR)
 
+    def test_label_beyond_delta_beside_forbidden_triangles(self):
+        # edge (0, 1) sees the 7 first, in no full triangle, then 1,3,5
+        g = EdgeLabelledGraph(4, [(0, 1, 1), (0, 2, 7), (0, 3, 3), (1, 3, 5)])
+        found = violations(g, PAR)
+        assert found == violations_oracle(g, PAR)
+        assert [(v.vertices, v.distances) for v in found] == [((0, 1, 3), (1, 3, 5))]
+        # a forbidden triangle first, then a closed one with the 7: it raises
+        g = EdgeLabelledGraph(4, [(0, 1, 1), (0, 2, 3), (1, 2, 5), (0, 3, 2), (1, 3, 7)])
+        with pytest.raises(RangeError, match="distance 7 outside 1..6"):
+            violations(g, PAR)
+        with pytest.raises(RangeError, match="distance 7 outside 1..6"):
+            violations_oracle(g, PAR)
+
 
 class TestHomomorphism:
     def test_identity(self):

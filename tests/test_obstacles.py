@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from metric_completer import obstacles
 from metric_completer import (
     CapacityError,
     CompletionStatus,
@@ -275,6 +276,20 @@ class TestVerifyCatalogue:
         report = verify_catalogue(bad)
         assert not report.ok
         assert "(1, 1, 1, 1, 1)" in report.failure
+
+    def test_oversized_catalogue_is_refused_at_once(self, monkeypatch):
+        # 6**12 sequences to sample from: refused before any search starts
+        def no_search(*args):
+            raise AssertionError("searched before the budget check")
+
+        monkeypatch.setattr(obstacles, "oracle_complete", no_search)
+        monkeypatch.setattr(obstacles, "_canonical_cycles", no_search)
+        catalogue = parse_catalogue("catalogue 6 2 15 12 exhaustive\n")
+        with pytest.raises(
+            CapacityError,
+            match="^2176782336 label sequences exceed the budget of 100000000$",
+        ):
+            verify_catalogue(catalogue)
 
 
 class TestCatalogueFormat:
