@@ -9,7 +9,6 @@ completion to a witness).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .completion import CompletionStatus, complete_magic
@@ -46,11 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_graph(text)
 
 
@@ -102,23 +104,86 @@ def _complete_text(params, magic, result) -> list[str]:
     return lines
 
 
+# The JSON payload of `complete`, written from string templates in the layout
+# of json.dumps(payload, indent=2).  Every string in it is an enum value of
+# plain ASCII, which needs no escaping.  A record's first line has no indent:
+# the list that holds it supplies one (_json_list).
+_JSON_PAYLOAD = """\
+{
+  "params": {
+    "delta": %d,
+    "k": %d,
+    "c": %d
+  },
+  "magic": %d,
+  "status": "%s",
+  "steps": %s,
+  "edges": %s,
+  "violations": %s
+}"""
+_JSON_STEP = """\
+{
+      "rank": %d,
+      "distance": %d,
+      "u": %d,
+      "v": %d,
+      "witness": %s,
+      "fork": %s,
+      "family": "%s"
+    }"""
+_JSON_FORK = """\
+[
+        %d,
+        %d
+      ]"""
+_JSON_EDGE = """\
+[
+      %d,
+      %d,
+      %d
+    ]"""
+_JSON_VIOLATION = """\
+{
+      "vertices": %s,
+      "distances": %s,
+      "status": "%s"
+    }"""
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """Rendered items as a JSON list that sits ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
 def _complete_json(params, magic, result) -> str:
-    payload = {
-        "params": {"delta": params.delta, "k": params.k, "c": params.c},
-        "magic": magic,
-        "status": result.status.value,
-        "steps": [step.as_dict() for step in result.trace.steps],
-        "edges": [[u, v, d] for (u, v), d in sorted(result.trace.final_graph.edges.items())],
-        "violations": [
-            {
-                "vertices": list(v.vertices),
-                "distances": list(v.distances),
-                "status": v.status.value,
-            }
-            for v in result.violations
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    steps = [
+        _JSON_STEP % (
+            rank, distance, u, v,
+            "null" if witness is None else witness,
+            "null" if fork is None else _JSON_FORK % fork,
+            family.value,
+        )
+        for rank, distance, u, v, witness, fork, family in result.trace.steps
+    ]
+    edges = [
+        _JSON_EDGE % (u, v, d)
+        for (u, v), d in sorted(result.trace.final_graph.edges.items())
+    ]
+    found = [
+        _JSON_VIOLATION % (
+            _json_list([str(x) for x in v.vertices], 3),
+            _json_list([str(x) for x in v.distances], 3),
+            v.status.value,
+        )
+        for v in result.violations
+    ]
+    return _JSON_PAYLOAD % (
+        params.delta, params.k, params.c, magic, result.status.value,
+        _json_list(steps, 1), _json_list(edges, 1), _json_list(found, 1),
+    )
 
 
 def _complete_dot(result) -> list[str]:
@@ -253,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, RangeError, FormatError, FileNotFoundError) as exc:
+    except (ParameterError, RangeError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

@@ -7,6 +7,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError
 from .graphs import EdgeLabelledGraph, TriangleViolation, violations
@@ -32,8 +33,10 @@ class Family(Enum):
     PATH = "SP"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One inserted distance.  A tuple of its fields, so a step equals the
+    plain tuple of the same values; the engine builds it with tuple.__new__."""
+
     rank: int
     distance: int
     u: int
@@ -141,7 +144,9 @@ def complete_magic(
         N[d][v] |= 1 << u
         opened[u] ^= 1 << v
     steps: list[TraceStep] = []
+    new = tuple.__new__
     for rank, x, fam in families.schedule:
+        tags = {fork: _family_tag(*fork, x, params) for fork in fam}
         Nx = N[x]
         for u in range(n):
             if not opened[u]:
@@ -168,26 +173,25 @@ def complete_magic(
                 for a, b in fam:
                     h |= N[a][u] & N[b][v]
                 w = (h & -h).bit_length() - 1
-                a = row_u[w]
-                b = dist[w][v]
+                fork = (row_u[w], dist[w][v])
                 row_u[v] = dist[v][u] = x
                 Nx[v] |= 1 << u
-                steps.append(
-                    TraceStep(rank, x, u, v, w, (a, b), _family_tag(a, b, x, params))
-                )
+                steps.append(new(TraceStep, (rank, x, u, v, w, fork, tags[fork])))
 
     final_rank = 2 * params.delta + 1
-    triples = []
+    edges = {}
     for u in range(n):
         row_u = dist[u]
-        for v in range(u + 1, n):
-            d = row_u[v]
-            if not d:
-                d = row_u[v] = dist[v][u] = magic
-                steps.append(TraceStep(final_rank, magic, u, v, None, None, Family.FINAL))
-            triples.append((u, v, d))
+        holes = opened[u]
+        while holes:
+            low = holes & -holes
+            holes ^= low
+            v = low.bit_length() - 1
+            row_u[v] = dist[v][u] = magic
+            steps.append(new(TraceStep, (final_rank, magic, u, v, None, None, Family.FINAL)))
+        edges.update(zip(zip(itertools.repeat(u), range(u + 1, n)), row_u[u + 1:]))
 
-    final = EdgeLabelledGraph(n, triples)
+    final = EdgeLabelledGraph._trusted(n, edges)
     viol = violations(final, params, dist)
     status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
     return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
@@ -304,11 +308,10 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
 def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):
     """Yield every completion of ``g`` in the class, in a fixed search order."""
     n = g.vertex_count
-    base = list(g.edges.items())
     for pairs, values in _completion_values(g, params, budget):
-        triples = [(u, v, d) for (u, v), d in base]
-        triples.extend((u, v, d) for (u, v), d in zip(pairs, values))
-        yield EdgeLabelledGraph(n, triples)
+        edges = dict(g.edges)
+        edges.update(zip(pairs, values))
+        yield EdgeLabelledGraph._trusted(n, edges)
 
 
 def oracle_complete(

@@ -46,6 +46,20 @@ class EdgeLabelledGraph:
         self.edges = normalized  # treat as read-only
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: dict[tuple[int, int], int]):
+        """A graph that takes ``edges`` as its own without checking it.
+
+        For the package's own results only: ``edges`` must already be what
+        __init__ would build, keys (u, v) with 0 <= u < v < vertex_count and
+        positive int labels, and no one may change it afterwards.
+        """
+        g = object.__new__(cls)
+        g.vertex_count = vertex_count
+        g.edges = edges
+        g._hash = None
+        return g
+
     def distance(self, u: int, v: int) -> int | None:
         """The distance between u and v, 0 on the diagonal, None when unset."""
         if u == v:

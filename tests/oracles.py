@@ -5,6 +5,7 @@ direct way, one classify_triangle call or one completion at a time.
 """
 
 import itertools
+import json
 
 from metric_completer import (
     CompletionResult,
@@ -139,6 +140,27 @@ def complete_magic_oracle(
     viol = violations_oracle(final, params)
     status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
     return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
+
+
+def complete_json_oracle(params: Params, magic: int, result: CompletionResult) -> str:
+    """The payload of ``complete --format json``, built as Python objects and
+    encoded by json.dumps(payload, indent=2)."""
+    payload = {
+        "params": {"delta": params.delta, "k": params.k, "c": params.c},
+        "magic": magic,
+        "status": result.status.value,
+        "steps": [step.as_dict() for step in result.trace.steps],
+        "edges": [[u, v, d] for (u, v), d in sorted(result.trace.final_graph.edges.items())],
+        "violations": [
+            {
+                "vertices": list(v.vertices),
+                "distances": list(v.distances),
+                "status": v.status.value,
+            }
+            for v in result.violations
+        ],
+    }
+    return json.dumps(payload, indent=2)
 
 
 def oracle_value_ranges(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):

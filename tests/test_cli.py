@@ -1,13 +1,30 @@
 """End-to-end command-line tests, run in process through cli.main."""
 
+import itertools
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from metric_completer import Params, fork_choice, fork_range
+from metric_completer import (
+    CompletionStatus,
+    EdgeLabelledGraph,
+    Family,
+    Params,
+    TriangleStatus,
+    complete_magic,
+    cycle_graph,
+    fork_choice,
+    fork_range,
+    format_graph,
+    magic_distances,
+)
+from metric_completer import cli
 from metric_completer.cli import main
+
+from oracles import complete_json_oracle, complete_magic_oracle
 
 FORK16 = "params 6 2 15\nvertices 3\nedge 0 1 1\nedge 1 2 6\n"
 
@@ -233,6 +250,77 @@ class TestComplete:
         assert first == second
 
 
+def writer_cases():
+    """(params, magic, graph) inputs for the JSON writer's differential test."""
+    par = Params(6, 2, 15)
+    small = [
+        EdgeLabelledGraph(0),
+        EdgeLabelledGraph(1),
+        EdgeLabelledGraph(2),  # one magic-filled step: null witness and fork
+        cycle_graph((1, 3, 5)),  # fails at once: no steps
+        cycle_graph((1, 1, 6, 6, 5)),  # fails after filling, with violations
+        cycle_graph((1, 1, 1, 1)),
+        EdgeLabelledGraph(4, [(0, 1, 1), (2, 3, 6)]),
+    ]
+    cases = [(par, magic, g) for magic in magic_distances(par) for g in small]
+    rng = random.Random(31)
+    for par in (Params(6, 2, 15), Params(3, 1, 8), Params(5, 3, 16), Params(4, 4, 13)):
+        for _ in range(6):
+            n = rng.randint(3, 40)
+            # a random tree plus a few chords
+            pairs = {(rng.randrange(v), v) for v in range(1, n)}
+            pairs |= {p for p in itertools.combinations(range(n), 2) if rng.random() < 0.05}
+            g = EdgeLabelledGraph(
+                n, [(u, v, rng.randint(1, par.delta)) for u, v in sorted(pairs)]
+            )
+            cases.extend((par, magic, g) for magic in magic_distances(par))
+    return cases
+
+
+class TestJsonWriter:
+    """cli._complete_json writes the payload from templates; it must equal
+    json.dumps(payload, indent=2) of the same result byte for byte."""
+
+    def test_payload_strings_need_no_escaping(self):
+        for enum in (CompletionStatus, Family, TriangleStatus):
+            for member in enum:
+                assert json.dumps(member.value) == f'"{member.value}"'
+
+    def test_equals_json_dumps(self):
+        cases = writer_cases()
+        statuses = set()
+        for par, magic, g in cases:
+            res = complete_magic(g, par, magic)
+            statuses.add((res.status, bool(res.trace.steps), bool(res.violations)))
+            assert cli._complete_json(par, magic, res) == complete_json_oracle(
+                par, magic, res
+            ), (par, magic, g)
+        # completed, failed at once and failed after filling all occur
+        assert {
+            (CompletionStatus.COMPLETED, True, False),
+            (CompletionStatus.FAILED, False, True),
+            (CompletionStatus.FAILED, True, True),
+        } <= statuses
+
+    def test_every_format_matches_the_direct_engine(self, capsys, tmp_path):
+        # the command line against the triple-loop engine and json.dumps
+        path = tmp_path / "case.graph"
+        for par, magic, g in writer_cases():
+            path.write_text(format_graph(par, g))
+            ref = complete_magic_oracle(g, par, magic)
+            expected = {
+                "json": complete_json_oracle(par, magic, ref),
+                "text": "\n".join(cli._complete_text(par, magic, ref)),
+                "dot": "\n".join(cli._complete_dot(ref)),
+            }
+            want = 0 if ref.status is CompletionStatus.COMPLETED else 2
+            for fmt, text in expected.items():
+                code, out, err = run(
+                    capsys, "complete", str(path), "--magic", str(magic), "--format", fmt
+                )
+                assert (code, out, err) == (want, text + "\n", ""), (par, magic, g, fmt)
+
+
 class TestObstacles:
     def test_triangle_catalogue(self, capsys):
         code, out, err = run(
@@ -326,6 +414,28 @@ class TestErrors:
         code, _, err = run(capsys, "complete", str(tmp_path / "nope.graph"))
         assert code == 1
         assert "No such file or directory" in err
+
+    @pytest.mark.parametrize("command", ["complete", "trace-obstacle"])
+    def test_directory_as_graph_file(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("command", ["complete", "trace-obstacle"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.graph"
+        path.write_bytes(FORK16.encode() + b"# caf\xe9\n")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
+
+    def test_output_to_a_directory(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "3", "--output", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_malformed_file(self, capsys, graph_file):
         path = graph_file("bad.graph", "params 6 2 15\nvertices 3\nedge 0 1\n")

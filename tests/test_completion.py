@@ -16,6 +16,7 @@ from metric_completer import (
     Params,
     PreconditionError,
     RangeError,
+    TraceStep,
     TriangleStatus,
     check_sandwich,
     classify_triangle,
@@ -28,7 +29,11 @@ from metric_completer import (
     time_function,
     violations,
 )
-from metric_completer.completion import MAX_VERTICES, _count_over_budget
+from metric_completer.completion import (
+    MAX_VERTICES,
+    _completion_values,
+    _count_over_budget,
+)
 
 from oracles import complete_magic_oracle, oracle_value_ranges, violations_oracle
 
@@ -253,6 +258,102 @@ class TestCompleteMagic:
         ]
 
 
+class TestTraceStep:
+    FIELDS = ("rank", "distance", "u", "v", "witness", "fork", "family")
+
+    def test_field_names(self):
+        assert TraceStep._fields == self.FIELDS
+
+    def test_is_the_tuple_of_its_fields(self):
+        step = TraceStep(3, 2, 0, 2, 1, (1, 1), Family.SUM)
+        assert step == (3, 2, 0, 2, 1, (1, 1), Family.SUM)
+        assert hash(step) == hash((3, 2, 0, 2, 1, (1, 1), Family.SUM))
+        # the engine builds its steps without calling the constructor
+        (built,) = complete_magic(fork_input(1, 1), PAR, 4).trace.steps
+        assert type(built) is TraceStep
+        assert built == step
+
+    def test_as_dict_and_describe(self):
+        cases = [
+            (
+                TraceStep(2, 5, 1, 3, 2, (1, 6), Family.DIFF),
+                {"witness": 2, "fork": [1, 6], "family": "F-"},
+                "rank 2: (1,3) = 5 witness 2 fork (1,6) F-",
+            ),
+            (
+                TraceStep(13, 4, 0, 1, None, None, Family.FINAL),
+                {"witness": None, "fork": None, "family": "FinalM"},
+                "final: (0,1) = 4",
+            ),
+            (
+                TraceStep(2, 2, 0, 2, None, None, Family.PATH),
+                {"witness": None, "fork": None, "family": "SP"},
+                "step 2: (0,2) = 2",
+            ),
+        ]
+        for step, tail, text in cases:
+            head = dict(zip(self.FIELDS[:4], step[:4]))
+            assert step.as_dict() == {**head, **tail}
+            assert list(step.as_dict()) == list(self.FIELDS)
+            assert step.describe() == text
+
+    def test_fields_cannot_be_assigned(self):
+        step = TraceStep(3, 2, 0, 2, 1, (1, 1), Family.SUM)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(step, name, 0)
+        with pytest.raises(AttributeError):
+            step.extra = 0
+        assert step == (3, 2, 0, 2, 1, (1, 1), Family.SUM)
+
+
+class TestTrustedGraphs:
+    """The engine's final graph and the oracle's completions are built
+    without re-validating their edges; each must be the graph the validating
+    constructor builds from the same edges."""
+
+    def test_trusted_constructor_equals_validated(self):
+        edges = {(0, 1): 1, (0, 2): 2, (1, 2): 1}
+        g = EdgeLabelledGraph._trusted(3, edges)
+        ref = EdgeLabelledGraph(3, [(2, 1, 1), (0, 1, 1), (0, 2, 2)])
+        assert g == ref
+        assert hash(g) == hash(ref)
+        assert repr(g) == repr(ref)
+        assert g.edges is edges
+
+    def test_engine_and_oracle_outputs(self):
+        # each output against the graph the validating constructor builds
+        # from the same triples in the same order as before: row-major for
+        # the engine, input edges then holes in search order for the oracle
+        rng = random.Random(21)
+        inputs = [
+            EdgeLabelledGraph(0),
+            EdgeLabelledGraph(1),
+            EdgeLabelledGraph(2),
+            fork_input(1, 6),
+            cycle_graph((1, 1, 6, 6, 5)),
+            cycle_graph((1, 3, 5)),
+        ] + [random_tree_graph(rng, rng.randint(0, 5), 6, 0.3) for _ in range(40)]
+        checked = []
+        for g in inputs:
+            for magic in magic_distances(PAR):
+                checked.append((
+                    complete_magic(g, PAR, magic).trace.final_graph,
+                    complete_magic_oracle(g, PAR, magic).trace.final_graph,
+                ))
+            base = [(u, v, d) for (u, v), d in g.edges.items()]
+            searched = itertools.islice(_completion_values(g, PAR, 10**8), 5)
+            for got, (holes, values) in zip(oracle_completions(g, PAR), searched):
+                filled = [(u, v, d) for (u, v), d in zip(holes, values)]
+                checked.append((got, EdgeLabelledGraph(g.vertex_count, base + filled)))
+        assert {got.vertex_count for got, _ in checked} >= {0, 1}
+        for got, ref in checked:
+            assert got == ref
+            assert hash(got) == hash(ref)
+            assert repr(got) == repr(ref)
+            assert list(got.edges.items()) == list(ref.edges.items())
+
+
 class TestAgainstTripleLoop:
     """The bitset engine against complete_magic_oracle, the direct scan of
     every open pair and every witness that it replaces."""
@@ -344,7 +445,38 @@ graphs_with_relabelling = st.sampled_from(TRIPLES).flatmap(
 )
 
 
+small_partial_graphs = st.sampled_from([p for p in TRIPLES if p.delta <= 5]).flatmap(
+    lambda par: st.tuples(
+        st.just(par),
+        st.integers(5, 6).flatmap(
+            lambda n: st.lists(
+                st.sampled_from((0,) * par.delta + tuple(range(1, par.delta + 1))),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ).map(
+                lambda labels, n=n: EdgeLabelledGraph(n, [
+                    (u, v, d)
+                    for (u, v), d in zip(itertools.combinations(range(n), 2), labels)
+                    if d
+                ])
+            )
+        ),
+    )
+)
+
+
 class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(small_partial_graphs)
+    def test_engine_decides_membership(self, case):
+        # the budget admits every hole pattern on 6 vertices: the a-priori
+        # count delta**holes overstates the pruned search by far
+        par, g = case
+        completable = oracle_complete(g, par, budget=par.delta**15) is not None
+        for magic in magic_distances(par):
+            done = complete_magic(g, par, magic).status is CompletionStatus.COMPLETED
+            assert done == completable, (par, magic, g)
+
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_relabelling)
     def test_relabelling_commutes_with_completion(self, case):
