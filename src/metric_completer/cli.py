@@ -9,7 +9,9 @@ completion to a witness).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from contextlib import nullcontext
 
 from .completion import CompletionStatus, complete_magic
 from .errors import (
@@ -108,7 +110,7 @@ def _complete_text(params, magic, result) -> list[str]:
 # of json.dumps(payload, indent=2).  Every string in it is an enum value of
 # plain ASCII, which needs no escaping.  A record's first line has no indent:
 # the list that holds it supplies one (_json_list).
-_JSON_PAYLOAD = """\
+_JSON_HEAD = """\
 {
   "params": {
     "delta": %d,
@@ -117,10 +119,7 @@ _JSON_PAYLOAD = """\
   },
   "magic": %d,
   "status": "%s",
-  "steps": %s,
-  "edges": %s,
-  "violations": %s
-}"""
+  "steps": """
 _JSON_STEP = """\
 {
       "rank": %d,
@@ -149,17 +148,32 @@ _JSON_VIOLATION = """\
       "status": "%s"
     }"""
 
+# Records per chunk of _json_list: large enough that writes cost little,
+# small enough that a chunk stays far below the whole payload.
+_JSON_CHUNK = 4096
 
-def _json_list(items: list[str], depth: int) -> str:
-    """Rendered items as a JSON list that sits ``depth`` levels deep."""
-    if not items:
-        return "[]"
+
+def _json_list(records, depth: int):
+    """Yield rendered records as a JSON list that sits ``depth`` levels deep,
+    _JSON_CHUNK records per chunk."""
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    sep = "," + inner
+    records = iter(records)
+    chunk = list(itertools.islice(records, _JSON_CHUNK))
+    if not chunk:
+        yield "[]"
+        return
+    yield "[" + inner + sep.join(chunk)
+    while chunk := list(itertools.islice(records, _JSON_CHUNK)):
+        yield sep + sep.join(chunk)
+    yield "\n" + "  " * depth + "]"
 
 
-def _complete_json(params, magic, result) -> str:
-    steps = [
+def _complete_json(params, magic, result):
+    """Yield the JSON payload of ``complete`` in chunks, so that the whole
+    text is never held at once."""
+    yield _JSON_HEAD % (params.delta, params.k, params.c, magic, result.status.value)
+    yield from _json_list((
         _JSON_STEP % (
             rank, distance, u, v,
             "null" if witness is None else witness,
@@ -167,23 +181,22 @@ def _complete_json(params, magic, result) -> str:
             family.value,
         )
         for rank, distance, u, v, witness, fork, family in result.trace.steps
-    ]
-    edges = [
+    ), 1)
+    yield ',\n  "edges": '
+    yield from _json_list((
         _JSON_EDGE % (u, v, d)
         for (u, v), d in sorted(result.trace.final_graph.edges.items())
-    ]
-    found = [
+    ), 1)
+    yield ',\n  "violations": '
+    yield from _json_list((
         _JSON_VIOLATION % (
-            _json_list([str(x) for x in v.vertices], 3),
-            _json_list([str(x) for x in v.distances], 3),
+            "".join(_json_list([str(x) for x in v.vertices], 3)),
+            "".join(_json_list([str(x) for x in v.distances], 3)),
             v.status.value,
         )
         for v in result.violations
-    ]
-    return _JSON_PAYLOAD % (
-        params.delta, params.k, params.c, magic, result.status.value,
-        _json_list(steps, 1), _json_list(edges, 1), _json_list(found, 1),
-    )
+    ), 1)
+    yield "\n}"
 
 
 def _complete_dot(result) -> list[str]:
@@ -205,7 +218,8 @@ def cmd_complete(args) -> int:
     magic = fork_families(args.magic, params).magic
     result = complete_magic(g, params, magic)
     if args.format == "json":
-        print(_complete_json(params, magic, result))
+        sys.stdout.writelines(_complete_json(params, magic, result))
+        sys.stdout.write("\n")
     elif args.format == "dot":
         print("\n".join(_complete_dot(result)))
     else:
@@ -217,15 +231,12 @@ def cmd_complete(args) -> int:
 
 def cmd_obstacles(args) -> int:
     params = Params(args.delta, args.k, args.c)
-    catalogue = enumerate_obstacle_cycles(
-        params, args.n, method=args.method, magic=args.magic, budget=args.budget
-    )
-    text = format_catalogue(catalogue)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # open --output first, so that an unwritable path fails before the search
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        catalogue = enumerate_obstacle_cycles(
+            params, args.n, method=args.method, magic=args.magic, budget=args.budget
+        )
+        out.write(format_catalogue(catalogue))
     print(
         f"n={catalogue.size}: {len(catalogue.cycles)} cycles ({catalogue.method})",
         file=sys.stderr,

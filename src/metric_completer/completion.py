@@ -192,7 +192,8 @@ def complete_magic(
         edges.update(zip(zip(itertools.repeat(u), range(u + 1, n)), row_u[u + 1:]))
 
     final = EdgeLabelledGraph._trusted(n, edges)
-    viol = violations(final, params, dist)
+    N[magic] = None  # the final fill left it out; violations derives it
+    viol = violations(final, params, dist, N)
     status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
     return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
 

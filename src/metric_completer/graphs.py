@@ -153,8 +153,20 @@ class TriangleViolation:
         return f"{self.status.value} {sides} (vertices {verts})"
 
 
+# The final check of complete_magic moves from the row scan to the engine's
+# bitsets at this many vertices.  The bitset check builds up to delta^2 masks
+# per row, which on small graphs costs more than the triangles it skips.  On
+# engine completions at (6, 2, 15) (Python 3.11, shared 2-core VM) it overtook
+# the scan near 28 vertices on labelled trees and near 40 on partial graphs
+# of average degree 4, whose rows hold more labels; 32 sits between the two.
+BITSET_MIN_VERTICES = 32
+
+
 def violations(
-    g: EdgeLabelledGraph, params: Params, matrix: list[list[int]] | None = None
+    g: EdgeLabelledGraph,
+    params: Params,
+    matrix: list[list[int]] | None = None,
+    bits: list[list[int] | None] | None = None,
 ) -> list[TriangleViolation]:
     """All forbidden triangles among fully specified triples, in scan order:
     (i, j, k) ascending with i < j < k.
@@ -165,10 +177,19 @@ def violations(
     already.  A label above delta misses the table; the graph is then walked
     triangle by triangle through classify_triangle, which raises RangeError
     only in a fully specified triangle.
+
+    ``bits`` are per-label bitsets of a complete ``g``, as complete_magic
+    keeps them: bit v of ``bits[d][u]`` is set when u and v are at distance
+    d, for d in 1..delta.  One entry may be None; its rows are then the pairs
+    no other label holds.  Given ``bits``, a graph of at least
+    BITSET_MIN_VERTICES vertices is checked on them instead (_bitset_check).
     """
     dist = g.matrix() if matrix is None else matrix
-    bad = fork_families(None, params).bad
+    families = fork_families(None, params)
     n = g.vertex_count
+    if bits is not None and n >= BITSET_MIN_VERTICES:
+        return _bitset_check(dist, bits, families)
+    bad = families.bad
     out = []
     try:
         for i in range(n - 2):
@@ -192,6 +213,61 @@ def violations(
                 status = classify_triangle(*sides, params)
                 if status is not TriangleStatus.ALLOWED:
                     out.append(TriangleViolation((i, j, k), tuple(sorted(sides)), status))
+    return out
+
+
+def _bitset_check(dist, bits, families) -> list[TriangleViolation]:
+    """violations() of a complete graph, from its per-label bitsets.
+
+    Triangle (i, j, k) with sides a = ij, b = ik, c = jk is forbidden when
+    ``bad[a][b][c]`` is not None.  So for row i and label a, the mask
+    ``G[a][c]``, the OR of ``bits[b][i]`` over the b that
+    ForkFamilies.forbidden lists for (a, c), holds every k that closes such
+    a triangle with a j at distance c from k, and edge (i, j) of label a
+    meets one exactly where ``bits[c][j] & G[a][c]`` has a bit k > j.  The
+    masks are built once per row i, for the labels that row holds right of
+    i; set bits are listed ascending, which keeps the row scan's order.
+    """
+    bad, forbidden = families.bad, families.forbidden
+    n = len(dist)
+    labels = range(1, len(bad))
+    full = (1 << n) - 1
+    rows = list(bits)
+    for m in labels:
+        if rows[m] is None:
+            others = [rows[d] for d in labels if d != m]
+            derived = rows[m] = []
+            for u in range(n):
+                taken = 1 << u
+                for row in others:
+                    taken |= row[u]
+                derived.append(full ^ taken)
+    columns = list(zip([0] * n, *(rows[c] for c in labels)))  # columns[j][c]
+    out = []
+    for i in range(n - 2):
+        row_i = dist[i]
+        mine = [0] + [rows[b][i] for b in labels]
+        masks = {}
+        for a in set(row_i[i + 1:]):
+            pairs = masks[a] = []  # (c, G[a][c]) where G[a][c] is not 0
+            for c, bs in forbidden[a]:
+                g = 0
+                for b in bs:
+                    g |= mine[b]
+                if g:
+                    pairs.append((c, g))
+        for j in range(i + 1, n - 1):
+            column = columns[j]
+            hits = 0
+            for c, g in masks[row_i[j]]:
+                hits |= column[c] & g
+            hits >>= j + 1
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                k = low.bit_length() + j
+                a, b, c = row_i[j], row_i[k], dist[j][k]
+                out.append(TriangleViolation((i, j, k), tuple(sorted((a, b, c))), bad[a][b][c]))
     return out
 
 

@@ -190,14 +190,18 @@ class ForkFamilies:
 
     ``bad[a][b][c]`` is the status table with ALLOWED read as None: the
     status of a forbidden triangle, None for an allowed one or where an index
-    is 0.  It does not depend on magic; it is kept here so that no second
-    cache keyed on Params is needed.
+    is 0.  ``forbidden[a]`` holds ``(c, bs)`` for each c in 1..delta that
+    some b forbids beside a, with ``bs`` the ascending b for which
+    ``bad[a][b][c]`` is not None; the bitset final check in
+    graphs.violations reads it.  Neither depends on magic; they are kept
+    here so that no second cache keyed on Params is needed.
     """
 
     magic: int
     choice: Mapping[Fork, int]
     schedule: tuple[tuple[int, int, frozenset[Fork]], ...]
     bad: tuple[tuple[tuple[TriangleStatus | None, ...], ...], ...]
+    forbidden: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
     def family(self, x: int) -> frozenset[Fork]:
         """The forks whose presence inserts distance x (empty if none do)."""
@@ -236,4 +240,15 @@ def fork_families(magic: int | None, params: Params) -> ForkFamilies:
         tuple(tuple(None if s is allowed else s for s in row) for row in plane)
         for plane in _status_table(params)
     )
-    return ForkFamilies(magic=magic, choice=choice, schedule=schedule, bad=bad)
+    span = range(delta + 1)
+    forbidden = tuple(
+        tuple(
+            (c, bs)
+            for c in span
+            if (bs := tuple(b for b in span if plane[b][c] is not None))
+        )
+        for plane in bad
+    )
+    return ForkFamilies(
+        magic=magic, choice=choice, schedule=schedule, bad=bad, forbidden=forbidden
+    )

@@ -292,7 +292,7 @@ class TestJsonWriter:
         for par, magic, g in cases:
             res = complete_magic(g, par, magic)
             statuses.add((res.status, bool(res.trace.steps), bool(res.violations)))
-            assert cli._complete_json(par, magic, res) == complete_json_oracle(
+            assert "".join(cli._complete_json(par, magic, res)) == complete_json_oracle(
                 par, magic, res
             ), (par, magic, g)
         # completed, failed at once and failed after filling all occur
@@ -301,6 +301,17 @@ class TestJsonWriter:
             (CompletionStatus.FAILED, False, True),
             (CompletionStatus.FAILED, True, True),
         } <= statuses
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # a list of more records than a chunk holds is written in pieces
+        monkeypatch.setattr(cli, "_JSON_CHUNK", chunk)
+        for par, magic, g in writer_cases()[:30]:
+            res = complete_magic(g, par, magic)
+            pieces = list(cli._complete_json(par, magic, res))
+            assert "".join(pieces) == complete_json_oracle(par, magic, res), (par, magic, g)
+            records = len(res.trace.steps) + len(res.trace.final_graph.edges)
+            assert len(pieces) >= records // chunk
 
     def test_every_format_matches_the_direct_engine(self, capsys, tmp_path):
         # the command line against the triple-loop engine and json.dumps
@@ -347,6 +358,18 @@ class TestObstacles:
         assert code == 0
         assert out == ""
         assert target.read_text() == CATALOGUE_3
+
+    def test_output_is_opened_before_the_search(self, capsys, tmp_path, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("the search ran before --output was opened")
+
+        monkeypatch.setattr(cli, "enumerate_obstacle_cycles", search)
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "7", "--output", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_substitution_method(self, capsys):
         code, out, err = run(

@@ -29,6 +29,7 @@ from metric_completer import (
     time_function,
     violations,
 )
+from metric_completer.graphs import BITSET_MIN_VERTICES
 from metric_completer.completion import (
     MAX_VERTICES,
     _completion_values,
@@ -67,6 +68,32 @@ def random_tree_graph(rng, n, delta, extra):
         if (u, v) not in tree and rng.random() < extra
     ]
     return EdgeLabelledGraph(n, edges)
+
+
+def planted_sparse_graph(rng, n, par, cycle, degree=4):
+    """A random graph of average degree ``degree`` with no forbidden
+    triangle, holding the label cycle ``cycle`` on random vertices."""
+    dist = {}
+
+    def label(u, v):
+        return dist.get((min(u, v), max(u, v)))
+
+    ring = rng.sample(range(n), len(cycle))
+    for i, d in enumerate(cycle):
+        u, v = ring[i], ring[(i + 1) % len(ring)]
+        dist[(min(u, v), max(u, v))] = d
+    while len(dist) < degree * n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        d = rng.randint(1, par.delta)
+        if (u, v) in dist:
+            continue
+        if all(
+            classify_triangle(d, label(u, w), label(v, w), par) is TriangleStatus.ALLOWED
+            for w in range(n)
+            if w != u and w != v and label(u, w) and label(v, w)
+        ):
+            dist[(u, v)] = d
+    return EdgeLabelledGraph(n, [(u, v, d) for (u, v), d in dist.items()])
 
 
 def relabel(g, perm):
@@ -403,6 +430,36 @@ class TestAgainstTripleLoop:
                 res = complete_magic(g, PAR, magic)
                 assert outcome(res) == outcome(complete_magic_oracle(g, PAR, magic))
                 assert len(res.trace.steps) == 60 * 59 // 2 - len(g.edges)
+
+    def test_final_check_fails_on_planted_obstacles(self):
+        # the initial check passes and the final one fails, on both sides of
+        # the size at which the final check moves to the engine's bitsets
+        rng = random.Random(14)
+        cap = BITSET_MIN_VERTICES
+        for n in (cap - 1, cap, cap + 1, 40, 48, 64):
+            g = planted_sparse_graph(rng, n, PAR, (1, 1, 6, 6, 5))
+            assert violations_oracle(g, PAR) == []
+            for magic in magic_distances(PAR):
+                res = complete_magic(g, PAR, magic)
+                assert res.status is CompletionStatus.FAILED
+                assert outcome(res) == outcome(complete_magic_oracle(g, PAR, magic)), (n, magic)
+                assert list(res.violations) == violations_oracle(res.trace.final_graph, PAR)
+
+    def test_final_check_on_other_triples(self):
+        # random trees with chords whose completions fail or succeed, for
+        # triples with other tables, at and around the bitset size
+        rng = random.Random(15)
+        cap = BITSET_MIN_VERTICES
+        failed = 0
+        for par in (Params(3, 1, 8), Params(4, 2, 12), Params(5, 3, 16), Params(6, 1, 19)):
+            for n in (cap - 1, cap, cap + 1, 44):
+                g = random_tree_graph(rng, n, par.delta, 0.02)
+                magic = rng.choice(magic_distances(par))
+                res = complete_magic(g, par, magic)
+                assert outcome(res) == outcome(complete_magic_oracle(g, par, magic)), (par, n)
+                assert list(res.violations) == violations_oracle(res.trace.final_graph, par)
+                failed += bool(res.trace.steps and res.violations)
+        assert failed >= 4
 
     def test_complete_graphs_against_per_triangle_scan(self):
         rng = random.Random(13)

@@ -18,6 +18,7 @@ from metric_completer import (
     automorphisms,
     build_graph,
     canonical_cycle,
+    complete_magic,
     cycle_graph,
     find_homomorphism,
     format_graph,
@@ -27,6 +28,9 @@ from metric_completer import (
     verify_eppa_witness,
     violations,
 )
+
+from metric_completer import graphs
+from metric_completer.graphs import BITSET_MIN_VERTICES
 
 from oracles import automorphisms_oracle, violations_oracle
 
@@ -39,6 +43,19 @@ def random_graph(rng, n, delta, edge_prob=0.6):
         if rng.random() < edge_prob:
             edges.append((u, v, rng.randint(1, delta)))
     return EdgeLabelledGraph(n, edges)
+
+
+def label_bits(g, delta, missing=None):
+    """Per-label bitsets of a complete graph, as complete_magic keeps them:
+    bit v of bits[d][u] is set when u and v are at distance d.  The entry of
+    label ``missing`` is None."""
+    bits = [[0] * g.vertex_count for _ in range(delta + 1)]
+    for (u, v), d in g.edges.items():
+        bits[d][u] |= 1 << v
+        bits[d][v] |= 1 << u
+    if missing is not None:
+        bits[missing] = None
+    return bits
 
 
 class TestGraph:
@@ -183,6 +200,46 @@ class TestViolations:
                         g = random_graph(rng, rng.randint(3, 12), delta,
                                          edge_prob=rng.choice((0.3, 0.6, 0.9)))
                         assert violations(g, par) == violations_oracle(g, par), (par, g)
+                    # complete graphs checked on their bitsets, one label's
+                    # rows derived; a few labels off the most common one
+                    # keep the violations scattered
+                    n = BITSET_MIN_VERTICES + rng.randint(0, 4)
+                    common = rng.randint(1, delta)
+                    g = EdgeLabelledGraph(n, [
+                        (u, v, common if rng.random() < 0.85 else rng.randint(1, delta))
+                        for u, v in itertools.combinations(range(n), 2)
+                    ])
+                    missing = rng.choice((None, common, rng.randint(1, delta)))
+                    bits = label_bits(g, delta, missing)
+                    assert violations(g, par, None, bits) == violations_oracle(g, par), (
+                        par, missing, g)
+
+    def test_which_check_runs(self, monkeypatch):
+        # the bitset check runs only when bitsets are given and the graph
+        # has at least BITSET_MIN_VERTICES vertices; the row scan otherwise
+        calls = []
+        bitset_check = graphs._bitset_check
+
+        def counted(*args):
+            calls.append(args[0])
+            return bitset_check(*args)
+
+        monkeypatch.setattr(graphs, "_bitset_check", counted)
+        rng = random.Random(5)
+        for n in (3, BITSET_MIN_VERTICES - 1, BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 1):
+            g = random_graph(rng, n, 6, edge_prob=1.0)
+            on_bits = n >= BITSET_MIN_VERTICES
+            calls.clear()
+            expected = violations_oracle(g, PAR)
+            assert violations(g, PAR) == violations(g, PAR, g.matrix()) == expected
+            assert calls == [], n
+            assert violations(g, PAR, g.matrix(), label_bits(g, 6, 4)) == expected
+            assert len(calls) == on_bits, n
+            # the engine: the row scan on its input, then its own final check
+            tree = EdgeLabelledGraph(n, [(v - 1, v, 1 + v % 6) for v in range(1, n)])
+            calls.clear()
+            res = complete_magic(tree, PAR)
+            assert calls == ([res.trace.final_graph.matrix()] if on_bits else []), n
 
     def test_label_beyond_delta_in_a_triangle(self):
         g = EdgeLabelledGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (1, 3, 7)])
