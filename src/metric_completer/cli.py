@@ -12,6 +12,7 @@ import argparse
 import itertools
 import sys
 from contextlib import nullcontext
+from operator import itemgetter
 
 from .completion import CompletionStatus, complete_magic
 from .errors import (
@@ -130,6 +131,12 @@ _JSON_STEP = """\
       "fork": %s,
       "family": "%s"
     }"""
+# _JSON_STEP split around the value of "v", and the getters that part a
+# TraceStep the same way
+_JSON_STEP_HEAD, _JSON_STEP_TAIL = _JSON_STEP.split('"v": %d')
+_JSON_STEP_HEAD += '"v": '
+_ALL_BUT_V = itemgetter(0, 1, 2, 4, 5, 6)
+_V = itemgetter(3)
 _JSON_FORK = """\
 [
         %d,
@@ -153,35 +160,49 @@ _JSON_VIOLATION = """\
 _JSON_CHUNK = 4096
 
 
-def _json_list(records, depth: int):
-    """Yield rendered records as a JSON list that sits ``depth`` levels deep,
-    _JSON_CHUNK records per chunk."""
+def _json_list(items, depth: int, render=str.join):
+    """Yield ``items`` as a JSON list that sits ``depth`` levels deep, in
+    chunks of at most _JSON_CHUNK records.
+
+    ``render(sep, chunk)`` writes a chunk of items as their records joined by
+    ``sep``; the default takes the items to be rendered records already.
+    """
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
-    records = iter(records)
-    chunk = list(itertools.islice(records, _JSON_CHUNK))
+    items = iter(items)
+    chunk = list(itertools.islice(items, _JSON_CHUNK))
     if not chunk:
         yield "[]"
         return
-    yield "[" + inner + sep.join(chunk)
-    while chunk := list(itertools.islice(records, _JSON_CHUNK)):
-        yield sep + sep.join(chunk)
+    yield "[" + inner + render(sep, chunk)
+    while chunk := list(itertools.islice(items, _JSON_CHUNK)):
+        yield sep + render(sep, chunk)
     yield "\n" + "  " * depth + "]"
+
+
+def _json_steps(sep: str, steps) -> str:
+    """Trace steps as records joined by ``sep``.  A run of steps that differ
+    only in v, such as the magic-filled pairs of one row, is written with one
+    join over its v values."""
+    runs = []
+    for (rank, distance, u, witness, fork, family), run in itertools.groupby(
+        steps, _ALL_BUT_V
+    ):
+        head = _JSON_STEP_HEAD % (rank, distance, u)
+        tail = _JSON_STEP_TAIL % (
+            "null" if witness is None else witness,
+            "null" if fork is None else _JSON_FORK % fork,
+            family.value,
+        )
+        runs.append(head + (tail + sep + head).join(map(str, map(_V, run))) + tail)
+    return sep.join(runs)
 
 
 def _complete_json(params, magic, result):
     """Yield the JSON payload of ``complete`` in chunks, so that the whole
     text is never held at once."""
     yield _JSON_HEAD % (params.delta, params.k, params.c, magic, result.status.value)
-    yield from _json_list((
-        _JSON_STEP % (
-            rank, distance, u, v,
-            "null" if witness is None else witness,
-            "null" if fork is None else _JSON_FORK % fork,
-            family.value,
-        )
-        for rank, distance, u, v, witness, fork, family in result.trace.steps
-    ), 1)
+    yield from _json_list(result.trace.steps, 1, _json_steps)
     yield ',\n  "edges": '
     yield from _json_list((
         _JSON_EDGE % (u, v, d)
@@ -231,11 +252,14 @@ def cmd_complete(args) -> int:
 
 def cmd_obstacles(args) -> int:
     params = Params(args.delta, args.k, args.c)
-    # open --output first, so that an unwritable path fails before the search
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+    # open --output first, so that an unwritable path fails before the search,
+    # but in append mode: an existing file is emptied only once the search is done
+    with open(args.output, "a") if args.output else nullcontext(sys.stdout) as out:
         catalogue = enumerate_obstacle_cycles(
             params, args.n, method=args.method, magic=args.magic, budget=args.budget
         )
+        if args.output:
+            out.truncate(0)
         out.write(format_catalogue(catalogue))
     print(
         f"n={catalogue.size}: {len(catalogue.cycles)} cycles ({catalogue.method})",

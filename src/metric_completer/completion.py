@@ -178,18 +178,19 @@ def complete_magic(
                 Nx[v] |= 1 << u
                 steps.append(new(TraceStep, (rank, x, u, v, w, fork, tags[fork])))
 
+    # one pass over the pairs gives every open one the magic distance; each
+    # pair tuple doubles as the final graph's key
     final_rank = 2 * params.delta + 1
+    final_family = Family.FINAL
+    append = steps.append
     edges = {}
-    for u in range(n):
-        row_u = dist[u]
-        holes = opened[u]
-        while holes:
-            low = holes & -holes
-            holes ^= low
-            v = low.bit_length() - 1
-            row_u[v] = dist[v][u] = magic
-            steps.append(new(TraceStep, (final_rank, magic, u, v, None, None, Family.FINAL)))
-        edges.update(zip(zip(itertools.repeat(u), range(u + 1, n)), row_u[u + 1:]))
+    for pair in itertools.combinations(range(n), 2):
+        u, v = pair
+        d = dist[u][v]
+        if not d:
+            d = dist[u][v] = dist[v][u] = magic
+            append(new(TraceStep, (final_rank, magic, u, v, None, None, final_family)))
+        edges[pair] = d
 
     final = EdgeLabelledGraph._trusted(n, edges)
     N[magic] = None  # the final fill left it out; violations derives it

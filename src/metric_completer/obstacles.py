@@ -7,7 +7,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .completion import CompletionStatus, Family, complete_magic, oracle_complete
+from .completion import CompletionStatus, complete_magic, oracle_complete
 from .completion import _count_over_budget
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
 from .graphs import EdgeLabelledGraph, canonical_cycle, cycle_graph
@@ -70,7 +70,8 @@ def obstacle_trace(
     if result.status is CompletionStatus.COMPLETED:
         raise PreconditionError("input completes; nothing to trace")
 
-    step_by_pair = {(s.u, s.v): s for s in result.trace.steps}
+    # the rank steps only: a magic-filled pair has no witness to expand
+    step_by_pair = {(s.u, s.v): s for s in result.trace.steps if s.witness is not None}
     seed = result.violations[0]
     i, j, k = seed.vertices
     final = result.trace.final_graph
@@ -90,9 +91,6 @@ def obstacle_trace(
             step = step_by_pair.get(image)
             if step is None or step.rank != level:
                 continue
-            assert step.family is not Family.FINAL, (
-                "a magic-filled edge appeared in a forbidden triangle"
-            )
             a, b = step.fork
             if (gu, gv) != image:  # the obstacle edge runs against the stored pair
                 a, b = b, a

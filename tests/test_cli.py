@@ -304,14 +304,19 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_chunk_boundaries(self, monkeypatch, chunk):
-        # a list of more records than a chunk holds is written in pieces
+        # a list of more records than a chunk holds is written in pieces, and
+        # so is a run of magic-filled steps longer than a chunk: row 0 of the
+        # empty 5-vertex graph holds 4 of them
         monkeypatch.setattr(cli, "_JSON_CHUNK", chunk)
-        for par, magic, g in writer_cases()[:30]:
+        par = Params(6, 2, 15)
+        cases = writer_cases()[:30] + [(par, magic_distances(par)[-1], EdgeLabelledGraph(5))]
+        for par, magic, g in cases:
             res = complete_magic(g, par, magic)
             pieces = list(cli._complete_json(par, magic, res))
             assert "".join(pieces) == complete_json_oracle(par, magic, res), (par, magic, g)
             records = len(res.trace.steps) + len(res.trace.final_graph.edges)
             assert len(pieces) >= records // chunk
+            assert max(piece.count('"rank"') for piece in pieces) <= chunk
 
     def test_every_format_matches_the_direct_engine(self, capsys, tmp_path):
         # the command line against the triple-loop engine and json.dumps
@@ -370,6 +375,24 @@ class TestObstacles:
         )
         assert (code, out) == (1, "")
         assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_existing_output_survives_a_failed_search(self, capsys, tmp_path):
+        target = tmp_path / "keep.txt"
+        target.write_text("precious\n" * 100)
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "9", "--budget", "10", "--output", str(target),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+        assert target.read_text() == "precious\n" * 100
+        # a search that succeeds replaces the whole file, shorter as its text is
+        code, _, _ = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "3", "--output", str(target),
+        )
+        assert code == 0
+        assert target.read_text() == CATALOGUE_3
 
     def test_substitution_method(self, capsys):
         code, out, err = run(

@@ -397,7 +397,7 @@ class TestAgainstTripleLoop:
                 ] + [
                     cycle_graph(rng.choices(range(1, par.delta + 1), k=rng.randint(3, 12)))
                     for _ in range(15)
-                ]
+                ] + [EdgeLabelledGraph(n) for n in (0, 1, 2)]
                 for g in graphs:
                     assert outcome(complete_magic(g, par, magic)) == outcome(
                         complete_magic_oracle(g, par, magic)
@@ -459,6 +459,25 @@ class TestAgainstTripleLoop:
                 assert outcome(res) == outcome(complete_magic_oracle(g, par, magic)), (par, n)
                 assert list(res.violations) == violations_oracle(res.trace.final_graph, par)
                 failed += bool(res.trace.steps and res.violations)
+            # the fill's extremes: empty inputs, where every pair is
+            # magic-filled and the derived magic row holds everything, and a
+            # complete input with no pair to fill
+            path = EdgeLabelledGraph(
+                cap + 1, [(v - 1, v, 1 + v % par.delta) for v in range(1, cap + 1)]
+            )
+            for magic in magic_distances(par):
+                full = complete_magic(path, par, magic).trace.final_graph
+                assert full.is_complete()
+                for g in [EdgeLabelledGraph(n) for n in (cap - 1, cap, cap + 1)] + [full]:
+                    res = complete_magic(g, par, magic)
+                    ref = complete_magic_oracle(g, par, magic)
+                    assert outcome(res) == outcome(ref), (par, magic, g.vertex_count)
+                    assert list(res.trace.final_graph.edges.items()) == list(
+                        ref.trace.final_graph.edges.items()
+                    )
+                    assert list(res.violations) == violations_oracle(res.trace.final_graph, par)
+                    holes = g.vertex_count * (g.vertex_count - 1) // 2 - len(g.edges)
+                    assert len(res.trace.steps) == holes
         assert failed >= 4
 
     def test_complete_graphs_against_per_triangle_scan(self):
