@@ -12,6 +12,7 @@ from typing import NamedTuple
 from .errors import CapacityError, PreconditionError
 from .graphs import EdgeLabelledGraph, TriangleViolation, violations
 from .params import (
+    Family,
     Params,
     TriangleStatus,
     _status_table,
@@ -23,14 +24,6 @@ from .params import (
 class CompletionStatus(Enum):
     COMPLETED = "completed"
     FAILED = "failed"
-
-
-class Family(Enum):
-    SUM = "F+"
-    DIFF = "F-"
-    CAP = "FC"
-    FINAL = "FinalM"
-    PATH = "SP"
 
 
 class TraceStep(NamedTuple):
@@ -82,15 +75,6 @@ class CompletionResult:
     status: CompletionStatus
     trace: CompletionTrace
     violations: tuple[TriangleViolation, ...]
-
-
-def _family_tag(a: int, b: int, x: int, params: Params) -> Family:
-    if a + b == x:
-        return Family.SUM
-    if abs(a - b) == x:
-        return Family.DIFF
-    assert params.c - 1 - a - b == x, "fork does not generate this distance"
-    return Family.CAP
 
 
 MAX_VERTICES = 1000
@@ -145,8 +129,8 @@ def complete_magic(
         opened[u] ^= 1 << v
     steps: list[TraceStep] = []
     new = tuple.__new__
+    tags = families.tag
     for rank, x, fam in families.schedule:
-        tags = {fork: _family_tag(*fork, x, params) for fork in fam}
         Nx = N[x]
         for u in range(n):
             if not opened[u]:

@@ -3,7 +3,6 @@ enumerating the non-completable labelled cycles of a class."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -123,11 +122,32 @@ class ObstacleCatalogue:
 
 
 def _canonical_cycles(delta: int, size: int):
-    for first in range(1, delta + 1):  # a canonical sequence starts with its minimum
-        for rest in itertools.product(range(first, delta + 1), repeat=size - 1):
-            seq = (first,) + rest
-            if canonical_cycle(seq) == seq:
+    """Every canonical sequence of ``size`` labels in 1..delta, ascending.
+
+    The Fredricksen-Kessler-Maiorana algorithm walks the prenecklaces in
+    lexicographic order; one whose longest Lyndon prefix, of length p,
+    divides ``size`` is a necklace, the least of its rotations.  A necklace
+    is canonical when no rotation of its reverse is smaller.
+    """
+    if size < 3:
+        raise RangeError("a cycle needs at least 3 labels")
+    a = [1] * size
+    p = 1
+    cuts = [slice(i, i + size) for i in range(size)]
+    while True:
+        if not size % p:
+            seq = tuple(a)
+            if seq <= min(map((seq[::-1] * 2).__getitem__, cuts)):
                 yield seq
+        i = size - 1  # the next prenecklace raises the last label below delta
+        while a[i] == delta:
+            i -= 1
+            if i < 0:
+                return
+        a[i] += 1
+        p = i + 1
+        for j in range(p, size):  # and repeats its first p labels
+            a[j] = a[j - p]
 
 
 def _completes(labels, params: Params, magic: int) -> bool:

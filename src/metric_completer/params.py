@@ -70,6 +70,26 @@ def validate_params(delta, k, c) -> ParamCheck:
     return ParamCheck(True)
 
 
+class Family(Enum):
+    """How a trace step got its distance: a sum, difference or cap fork of
+    it, the final magic fill, or the shortest-path baseline."""
+
+    SUM = "F+"
+    DIFF = "F-"
+    CAP = "FC"
+    FINAL = "FinalM"
+    PATH = "SP"
+
+
+def _family_tag(a: int, b: int, x: int, params: Params) -> Family:
+    if a + b == x:
+        return Family.SUM
+    if abs(a - b) == x:
+        return Family.DIFF
+    assert params.c - 1 - a - b == x, "fork does not generate this distance"
+    return Family.CAP
+
+
 class TriangleStatus(Enum):
     ALLOWED = "allowed"
     NON_METRIC = "non-metric"
@@ -187,6 +207,8 @@ class ForkFamilies:
     distance other than magic that some fork's choice inserts.  Below magic
     the forks are the sum and cap forks of the distance, above magic its
     difference forks; forks whose choice is magic are filled in the final step.
+    ``tag[fork]`` is the Family of each fork in the schedule: the fork inserts
+    only ``choice[fork]``, so one tag per fork serves every rank.
 
     ``bad[a][b][c]`` is the status table with ALLOWED read as None: the
     status of a forbidden triangle, None for an allowed one or where an index
@@ -200,6 +222,7 @@ class ForkFamilies:
     magic: int
     choice: Mapping[Fork, int]
     schedule: tuple[tuple[int, int, frozenset[Fork]], ...]
+    tag: Mapping[Fork, Family]
     bad: tuple[tuple[tuple[TriangleStatus | None, ...], ...], ...]
     forbidden: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
@@ -224,6 +247,7 @@ def fork_families(magic: int | None, params: Params) -> ForkFamilies:
     require_magic(magic, params)
     delta = params.delta
     choice = {}
+    tag = {}
     inserted: dict[int, set[Fork]] = {}
     for a in range(1, delta + 1):
         for b in range(1, delta + 1):
@@ -231,6 +255,7 @@ def fork_families(magic: int | None, params: Params) -> ForkFamilies:
             choice[(a, b)] = x
             if x != magic:
                 inserted.setdefault(x, set()).add((a, b))
+                tag[(a, b)] = _family_tag(a, b, x, params)
     schedule = tuple(sorted(
         (time_function(x, magic, delta), x, frozenset(forks))
         for x, forks in inserted.items()
@@ -250,5 +275,10 @@ def fork_families(magic: int | None, params: Params) -> ForkFamilies:
         for plane in bad
     )
     return ForkFamilies(
-        magic=magic, choice=choice, schedule=schedule, bad=bad, forbidden=forbidden
+        magic=magic,
+        choice=choice,
+        schedule=schedule,
+        tag=tag,
+        bad=bad,
+        forbidden=forbidden,
     )

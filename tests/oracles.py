@@ -18,10 +18,11 @@ from metric_completer import (
     TraceStep,
     TriangleStatus,
     TriangleViolation,
+    canonical_cycle,
     classify_triangle,
     fork_families,
 )
-from metric_completer.completion import _completion_values, _family_tag
+from metric_completer.completion import _completion_values
 
 
 def magic_oracle(params: Params) -> tuple[int, ...]:
@@ -54,6 +55,31 @@ def families_oracle(magic: int, params: Params) -> dict[int, frozenset]:
             )
         elif x > magic:
             out[x] = frozenset((a, b) for a, b in pairs if abs(a - b) == x)
+    return out
+
+
+def family_tag_oracle(a: int, b: int, x: int, params: Params) -> Family:
+    """The family of the fork (a, b) that inserts x, by its generating rule:
+    SUM if a + b = x, else DIFF if |a - b| = x, else CAP, whose rule
+    c - 1 - a - b = x must then hold."""
+    if a + b == x:
+        return Family.SUM
+    if abs(a - b) == x:
+        return Family.DIFF
+    if params.c - 1 - a - b == x:
+        return Family.CAP
+    raise AssertionError(f"fork ({a}, {b}) does not generate {x}")
+
+
+def canonical_cycles_oracle(delta: int, size: int) -> list[tuple[int, ...]]:
+    """Every canonical label sequence, ascending: each sequence that starts
+    with its least label and equals its own canonical_cycle."""
+    out = []
+    for first in range(1, delta + 1):
+        for rest in itertools.product(range(first, delta + 1), repeat=size - 1):
+            seq = (first,) + rest
+            if canonical_cycle(seq) == seq:
+                out.append(seq)
     return out
 
 
@@ -123,7 +149,9 @@ def complete_magic_oracle(
                     if a and b and (a, b) in fam:
                         row_u[v] = dist[v][u] = x
                         steps.append(
-                            TraceStep(rank, x, u, v, w, (a, b), _family_tag(a, b, x, params))
+                            TraceStep(
+                                rank, x, u, v, w, (a, b), family_tag_oracle(a, b, x, params)
+                            )
                         )
                         break
 

@@ -138,6 +138,38 @@ class TestCycles:
         with pytest.raises(RangeError):
             cycle_graph((1, 2))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0, "non-positive distance 0 on edge ({u}, {v})"),
+            (-1, "non-positive distance -1 on edge ({u}, {v})"),
+            (True, "bad edge ({u}, {v}, True)"),
+            (1.5, "bad edge ({u}, {v}, 1.5)"),
+            ("1", "bad edge ({u}, {v}, '1')"),
+        ],
+    )
+    def test_cycle_graph_rejects_bad_labels(self, bad, message):
+        # the same FormatError text the validating constructor gives, on the
+        # first, a middle and the closing edge
+        for pos, (u, v) in ((0, (0, 1)), (2, (2, 3)), (3, (3, 0))):
+            labels = [1, 2, 3, 4]
+            labels[pos] = bad
+            expected = message.format(u=u, v=v)
+            with pytest.raises(FormatError) as caught:
+                cycle_graph(labels)
+            assert str(caught.value) == expected
+            with pytest.raises(FormatError) as caught:
+                EdgeLabelledGraph(4, [(i, (i + 1) % 4, labels[i]) for i in range(4)])
+            assert str(caught.value) == expected
+
+    def test_cycle_graph_equals_validated_construction(self):
+        for labels in ((1, 1, 2), (5, 1, 4, 2, 9), (6, 6, 6, 6, 6, 6, 6)):
+            n = len(labels)
+            g = cycle_graph(labels)
+            ref = EdgeLabelledGraph(n, [(i, (i + 1) % n, labels[i]) for i in range(n)])
+            assert g == ref and hash(g) == hash(ref)
+            assert list(g.edges.items()) == list(ref.edges.items())  # insertion order too
+
     def test_canonical_examples(self):
         assert canonical_cycle((2, 1, 1)) == (1, 1, 2)
         assert canonical_cycle((1, 6, 1, 6)) == (1, 6, 1, 6)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and no
+library module imports the test-only code."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import metric_completer
 
 PACKAGE = Path(metric_completer.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.rglob("*.py"))  # every library module, __init__ too
+TEST_ONLY = {"tests", "oracles"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,6 +30,23 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def imports_of_test_code(source: str) -> list[str]:
+    """Import statements of ``source`` that reach into ``tests`` or
+    ``oracles``, under any package path, relative ones included."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(TEST_ONLY & set(name.split(".")) for name in modules):
+            out.append(f"line {node.lineno}")
+    return out
+
+
 def test_scan_flags_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom .x import a, b as c\nprint(a)\n"
     assert unused_imports(source) == ["os (line 2)", "c (line 3)"]
@@ -40,3 +60,24 @@ def test_no_unused_imports(path):
 def test_every_module_is_scanned():
     names = {p.name for p in MODULES}
     assert {"cli.py", "completion.py", "graphs.py", "obstacles.py", "params.py"} <= names
+
+
+def test_scan_flags_imports_of_test_code():
+    source = (
+        "import oracles\n"
+        "from tests.oracles import x\n"
+        "from . import oracles\n"
+        "import os.path\n"
+        "from .graphs import violations\n"
+    )
+    assert imports_of_test_code(source) == ["line 1", "line 2", "line 3"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_does_not_import_test_code(path):
+    assert imports_of_test_code(path.read_text()) == []
+
+
+def test_every_source_is_scanned():
+    names = {p.name for p in SOURCES}
+    assert {"__init__.py", "__main__.py", "obstacles.py", "params.py"} <= names

@@ -32,6 +32,8 @@ from metric_completer import (
     verify_catalogue,
 )
 
+from oracles import canonical_cycles_oracle
+
 PAR = Params(6, 2, 15)
 
 TRIANGLES_21 = sorted(
@@ -208,6 +210,15 @@ class TestEnumeration:
             assert canonical_cycle(cyc) == cyc
             assert complete_magic(cycle_graph(cyc), PAR).status is CompletionStatus.FAILED
 
+    def test_canonical_cycles_match_the_filter(self):
+        # the necklace generator against the old filter over all sequences
+        for delta in range(1, 7):
+            for size in range(3, 8):
+                if delta**size <= 10**5:
+                    assert list(obstacles._canonical_cycles(delta, size)) == (
+                        canonical_cycles_oracle(delta, size)
+                    ), (delta, size)
+
     def test_small_n_rejected(self):
         with pytest.raises(RangeError):
             enumerate_obstacle_cycles(PAR, 2)
@@ -276,6 +287,36 @@ class TestVerifyCatalogue:
         report = verify_catalogue(bad)
         assert not report.ok
         assert "(1, 1, 1, 1, 1)" in report.failure
+
+    # the non-entries verify_catalogue samples at (6, 2, 15): random.sample
+    # depends on the order of the canonical cycles, so these pin that order
+    SAMPLED = {
+        5: "46466 14354 34346 14616 11256 13225 22344 16566 14466 34636 "
+        "44646 13426 16256 14145 23435 12556 22325 12256 13326 12262",
+        6: "233525 242455 113343 142366 365656 343535 235446 151666 334444 223664 "
+        "134443 355355 124663 144564 125125 122534 136663 125344 153245 122643",
+    }
+
+    @pytest.mark.parametrize("n", sorted(SAMPLED))
+    def test_sampled_non_entries_are_pinned(self, monkeypatch, n):
+        searched = []
+
+        def record(g, params, budget):
+            searched.append(g)
+            return oracle_complete(g, params, budget)
+
+        catalogue = enumerate_obstacle_cycles(PAR, n)
+        monkeypatch.setattr(obstacles, "oracle_complete", record)
+        assert verify_catalogue(catalogue).ok
+        expected = [cycle_graph(cyc) for cyc in catalogue.cycles] + [
+            cycle_graph(int(ch) for ch in word) for word in self.SAMPLED[n].split()
+        ]
+        assert searched == expected
+
+    @pytest.mark.parametrize("size", [2, 1, 0, -1])
+    def test_size_below_three_is_refused(self, size):
+        with pytest.raises(RangeError, match="^a cycle needs at least 3 labels$"):
+            verify_catalogue(ObstacleCatalogue(PAR, size, "exhaustive", ()))
 
     def test_oversized_catalogue_is_refused_at_once(self, monkeypatch):
         # 6**12 sequences to sample from: refused before any search starts

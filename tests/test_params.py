@@ -23,7 +23,7 @@ from metric_completer import (
 )
 from metric_completer.params import _status_table
 
-from oracles import families_oracle, magic_oracle
+from oracles import families_oracle, family_tag_oracle, magic_oracle
 
 PAR = Params(6, 2, 15)
 
@@ -407,3 +407,16 @@ class TestForkFamilies:
                     for a, b in forks:
                         rules = [a + b == x, abs(a - b) == x, par.c - 1 - a - b == x]
                         assert rules.count(True) == 1, (par, magic, x, (a, b))
+
+    def test_tag_matches_generating_rules(self):
+        # every scheduled fork carries the family of the one distance it
+        # inserts, its choice, read off the generating rules
+        for par in acceptable_triples(6):
+            for magic in magic_distances(par):
+                fams = fork_families(magic, par)
+                scheduled = {fork for _, _, forks in fams.schedule for fork in forks}
+                assert set(fams.tag) == scheduled, (par, magic)
+                for (a, b), family in fams.tag.items():
+                    x = fams.choice[(a, b)]
+                    assert (a, b) in fams.family(x)
+                    assert family is family_tag_oracle(a, b, x, par), (par, magic, (a, b))
