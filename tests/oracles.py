@@ -20,6 +20,8 @@ from metric_completer import (
     TriangleViolation,
     canonical_cycle,
     classify_triangle,
+    complete_magic,
+    cycle_graph,
     fork_families,
 )
 from metric_completer.completion import _completion_values
@@ -81,6 +83,13 @@ def canonical_cycles_oracle(delta: int, size: int) -> list[tuple[int, ...]]:
             if canonical_cycle(seq) == seq:
                 out.append(seq)
     return out
+
+
+def cycle_completes_oracle(labels, params: Params, magic: int) -> bool:
+    """Whether the engine completes the cycle of ``labels``, by one
+    complete_magic run: the reference for the bit-sliced _decide_cycles."""
+    result = complete_magic(cycle_graph(labels), params, magic)
+    return result.status is CompletionStatus.COMPLETED
 
 
 def automorphisms_oracle(g: EdgeLabelledGraph) -> list[tuple[int, ...]]:

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module, and no
-library module imports the test-only code."""
+"""Every name a library module imports is used in that module, no library
+module imports the test-only code, and the library imports nothing beyond
+the standard library and itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ PACKAGE = Path(metric_completer.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.rglob("*.py"))  # every library module, __init__ too
 TEST_ONLY = {"tests", "oracles"}
+OWN = metric_completer.__name__
 
 
 def unused_imports(source: str) -> list[str]:
@@ -81,3 +84,39 @@ def test_library_does_not_import_test_code(path):
 def test_every_source_is_scanned():
     names = {p.name for p in SOURCES}
     assert {"__init__.py", "__main__.py", "obstacles.py", "params.py"} <= names
+
+
+def imports_beyond_stdlib(source: str) -> list[str]:
+    """Top-level modules that ``source`` imports absolutely and that are
+    neither in the standard library nor the package itself."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        for name in modules:
+            top = name.split(".")[0]
+            if top != OWN and top not in sys.stdlib_module_names:
+                out.append(f"{top} (line {node.lineno})")
+    return out
+
+
+def test_scan_flags_imports_beyond_stdlib():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from hypothesis import given\n"
+        "from . import graphs\n"
+        "from .params import Params\n"
+        "from metric_completer.errors import RangeError\n"
+        "import xml.etree.ElementTree\n"
+    )
+    assert imports_beyond_stdlib(source) == ["numpy (line 2)", "hypothesis (line 3)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_imports_only_stdlib(path):
+    assert imports_beyond_stdlib(path.read_text()) == []

@@ -1,16 +1,18 @@
 """Obstacle back-traces, cycle catalogues, and their verification."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from metric_completer import obstacles
+from metric_completer import completion, graphs, obstacles
 from metric_completer import (
     CapacityError,
     CompletionStatus,
     EdgeLabelledGraph,
     FormatError,
+    ForkFamilies,
     ObstacleCatalogue,
     ParameterError,
     Params,
@@ -22,8 +24,10 @@ from metric_completer import (
     complete_magic,
     cycle_graph,
     enumerate_obstacle_cycles,
+    fork_families,
     format_catalogue,
     format_cycle_labels,
+    magic_distances,
     obstacle_trace,
     oracle_complete,
     parse_catalogue,
@@ -31,8 +35,9 @@ from metric_completer import (
     substitute_forks,
     verify_catalogue,
 )
+from metric_completer.completion import _decide_cycles
 
-from oracles import canonical_cycles_oracle
+from oracles import canonical_cycles_oracle, cycle_completes_oracle
 
 PAR = Params(6, 2, 15)
 
@@ -64,6 +69,66 @@ CYCLES_6 = sorted(
     canonical_cycle(tuple(int(ch) for ch in s))
     for s in "111116 116616 116661 161616 666616".split()
 )
+
+
+PINNED = {3: TRIANGLES_21, 4: CYCLES_4, 5: CYCLES_5, 6: CYCLES_6}
+
+
+def acceptable_triples(deltas):
+    return [
+        Params(delta, k, c)
+        for delta in deltas
+        for k in range(1, delta + 1)
+        for c in range(2 * delta + k + 1, 3 * delta + 2)
+    ]
+
+
+def decider_mismatches(cycles, params, magic):
+    """The cycles on which _decide_cycles and one engine run per cycle
+    disagree; a lane set beyond the last cycle counts as a mismatch too."""
+    cycles = list(cycles)
+    mask = _decide_cycles(cycles, params, magic)
+    wrong = [
+        seq
+        for lane, seq in enumerate(cycles)
+        if bool(mask >> lane & 1) != cycle_completes_oracle(seq, params, magic)
+    ]
+    if mask >> len(cycles):
+        wrong.append(f"lanes beyond {len(cycles)}")
+    return wrong
+
+
+def shifted_families(families, shift):
+    """``families`` with every label raised by ``shift``: the same class
+    copied onto labels shift+1..shift+delta, with the labels below unused.
+    The tables stay sparse, where fork_families of a class that large would
+    build delta^3 entries."""
+    delta = len(families.bad) - 1
+    span = shift + delta + 1
+
+    def up(fork):
+        return (fork[0] + shift, fork[1] + shift)
+
+    empty = (None,) * span
+    bad = [[empty] * span for _ in range(span)]
+    forbidden = [()] * span
+    for a in range(1, delta + 1):
+        for b in range(1, delta + 1):
+            bad[a + shift][b + shift] = (None,) * (shift + 1) + families.bad[a][b][1:]
+        forbidden[a + shift] = tuple(
+            (c + shift, tuple(b + shift for b in bs)) for c, bs in families.forbidden[a]
+        )
+    return ForkFamilies(
+        magic=families.magic + shift,
+        choice={up(fork): x + shift for fork, x in families.choice.items()},
+        schedule=tuple(
+            (rank, x + shift, frozenset(map(up, fam)))
+            for rank, x, fam in families.schedule
+        ),
+        tag={up(fork): tag for fork, tag in families.tag.items()},
+        bad=bad,
+        forbidden=forbidden,
+    )
 
 
 def assert_maps_into(obstacle, hom, target):
@@ -220,8 +285,17 @@ class TestEnumeration:
                     ), (delta, size)
 
     def test_small_n_rejected(self):
-        with pytest.raises(RangeError):
-            enumerate_obstacle_cycles(PAR, 2)
+        for size in (2, 4.0, "5"):
+            with pytest.raises(RangeError):
+                enumerate_obstacle_cycles(PAR, size)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_chunk_boundaries(self, monkeypatch, lanes):
+        monkeypatch.setattr(obstacles, "_LANES", lanes)
+        for n, expected in PINNED.items():
+            for method in ("exhaustive", "substitution"):
+                cat = enumerate_obstacle_cycles(PAR, n, method)
+                assert list(cat.cycles) == expected, (n, method)
 
     def test_budget(self):
         with pytest.raises(CapacityError):
@@ -259,6 +333,96 @@ class TestEnumeration:
         ]
         assert not [cyc for cyc in failed if {2, 3, 5} & set(cyc)]
         assert failed == []
+        for magic in (3, 4):
+            assert enumerate_obstacle_cycles(PAR, 7, magic=magic).cycles == ()
+
+
+class TestCycleDecider:
+    """The bit-sliced catalogue decider against one engine run per cycle."""
+
+    def test_every_triple_up_to_delta_five(self):
+        for par in acceptable_triples(range(2, 6)):
+            for magic in magic_distances(par):
+                for size in (3, 4, 5, 6):
+                    cycles = obstacles._canonical_cycles(par.delta, size)
+                    assert decider_mismatches(cycles, par, magic) == [], (par, magic)
+
+    def test_delta_six_up_to_size_five(self):
+        for par in acceptable_triples([6]):
+            for magic in magic_distances(par):
+                for size in (3, 4, 5):
+                    cycles = obstacles._canonical_cycles(6, size)
+                    assert decider_mismatches(cycles, par, magic) == [], (par, magic)
+
+    @pytest.mark.parametrize("magic", [3, 4])
+    def test_six_cycles(self, magic):
+        cycles = obstacles._canonical_cycles(6, 6)
+        assert decider_mismatches(cycles, PAR, magic) == []
+
+    def test_raw_sequences(self):
+        # neither canonical nor distinct: every rotation and reflection of
+        # the pinned obstacles, and random draws
+        rng = random.Random(11)
+        for size, pinned in PINNED.items():
+            turns = {
+                variant[i:] + variant[:i]
+                for cyc in pinned
+                for variant in (cyc, cyc[::-1])
+                for i in range(size)
+            }
+            drawn = [tuple(rng.randint(1, 6) for _ in range(size)) for _ in range(300)]
+            for magic in (3, 4):
+                cycles = sorted(turns) + drawn + drawn[:5]
+                assert decider_mismatches(cycles, PAR, magic) == [], (size, magic)
+
+    def test_labels_above_255(self, monkeypatch):
+        # (6, 2, 15) copied onto labels 295..300 of a delta = 300 class: the
+        # lane masks must index labels that no byte holds
+        big = Params(300, 1, 700)
+        shifted = {m: shifted_families(fork_families(m, PAR), 294) for m in (3, 4)}
+        cases = []
+        for size in (3, 4, 5, 6):
+            cycles = list(obstacles._canonical_cycles(6, size))
+            if size == 6:
+                cycles = cycles[::7] + CYCLES_6
+            for magic in (3, 4):
+                cases.append((cycles, magic, _decide_cycles(cycles, PAR, magic)))
+
+        def fake(magic, params):
+            return shifted[4 if magic is None else magic - 294]
+
+        monkeypatch.setattr(completion, "fork_families", fake)
+        monkeypatch.setattr(graphs, "fork_families", fake)
+        for cycles, magic, mask in cases:
+            raised = [tuple(x + 294 for x in cyc) for cyc in cycles]
+            assert decider_mismatches(raised, big, magic + 294) == [], magic
+            assert _decide_cycles(raised, big, magic + 294) == mask
+
+    def test_follows_the_engine_in_any_rank_order(self, monkeypatch):
+        # with the real schedule no forbidden triangle has a magic-filled side
+        # (a fork that would close one inserts its choice after both of its
+        # arms), so only another rank order shows that the magic fill is there
+        def reversed_schedule(magic, params):
+            families = fork_families(magic, params)
+            return dataclasses.replace(families, schedule=families.schedule[::-1])
+
+        monkeypatch.setattr(completion, "fork_families", reversed_schedule)
+        for magic in (3, 4):
+            for size in (3, 4, 5):
+                cycles = obstacles._canonical_cycles(6, size)
+                assert decider_mismatches(cycles, PAR, magic) == [], (magic, size)
+
+    def test_no_cycles_decide_to_no_lanes(self):
+        assert _decide_cycles([], PAR, 4) == 0
+
+    @pytest.mark.slow
+    def test_every_triple_up_to_delta_six(self):
+        # about 355k engine runs
+        for par in acceptable_triples(range(2, 7)):
+            for magic in magic_distances(par):
+                for size in (3, 4, 5, 6):
+                    cycles = obstacles._canonical_cycles(par.delta, size)
+                    assert decider_mismatches(cycles, par, magic) == [], (par, magic)
 
 
 class TestVerifyCatalogue:
