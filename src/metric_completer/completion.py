@@ -11,14 +11,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError
 from .graphs import EdgeLabelledGraph, TriangleViolation, violations
-from .params import (
-    Family,
-    Params,
-    TriangleStatus,
-    _status_table,
-    classify_triangle,
-    fork_families,
-)
+from .params import Family, Params, _check_distance, _triangle_table, fork_families
 
 
 class CompletionStatus(Enum):
@@ -236,7 +229,7 @@ def _decide_cycles(cycles, params: Params, magic: int) -> int:
     for (u, v), lanes in zip(chords, opened):
         D[u][v][magic] |= lanes
 
-    forbidden = families.forbidden
+    forbidden = _triangle_table(params)[1]
     failed = 0
     for i, j, k in itertools.combinations(range(n), 3):
         Dij, Dik, Djk = D[i][j], D[i][k], D[j][k]
@@ -257,8 +250,10 @@ def _decide_cycles(cycles, params: Params, magic: int) -> int:
 def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> CompletionResult:
     """Fill every non-edge with its path distance capped at delta.
 
-    Disconnected pairs get delta.  Existing edges are kept as they are.
+    Disconnected pairs get delta.  Existing edges are kept as they are.  A
+    label above delta raises RangeError.
     """
+    _check_distance(max(g.edges.values(), default=1), params)
     n = g.vertex_count
     big = float("inf")
     dist = [[big] * n for _ in range(n)]
@@ -321,12 +316,12 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
             f"{len(pairs)} unset pairs mean {count} assignments, "
             f"over the budget of {budget}"
         )
+    _check_distance(max(g.edges.values(), default=1), params)
     n = g.vertex_count
     dist = g.matrix()
     if violations(g, params, dist):
         return
-    status_of = _status_table(params)
-    allowed = TriangleStatus.ALLOWED
+    bad = _triangle_table(params)[0]
     values = [0] * len(pairs)
 
     def search(i: int):
@@ -343,13 +338,7 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
                     continue
                 a = row_u[w]
                 b = row_v[w]
-                if not (a and b):
-                    continue
-                try:
-                    status = status_of[a][b][val]
-                except IndexError:  # a label above delta
-                    status = classify_triangle(a, b, val, params)
-                if status is not allowed:
+                if a and b and bad[a][b][val] is not None:
                     ok = False
                     break
             if ok:

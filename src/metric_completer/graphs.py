@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
-from .params import Params, TriangleStatus, classify_triangle, fork_families
+from .params import Params, TriangleStatus, _triangle_table, classify_triangle
 
 
 class EdgeLabelledGraph:
@@ -184,11 +184,12 @@ def violations(
     (i, j, k) ascending with i < j < k.
 
     Each edge (i, j) walks the rows ``matrix[i][j+1:]`` and
-    ``matrix[j][j+1:]`` against ForkFamilies.bad, where an index of 0 reads
-    None.  ``matrix`` is ``g.matrix()``, passed by a caller that has built it
-    already.  A label above delta misses the table; the graph is then walked
-    triangle by triangle through classify_triangle, which raises RangeError
-    only in a fully specified triangle.
+    ``matrix[j][j+1:]`` against the class's table of forbidden triangles
+    (params._triangle_table), where an index of 0 reads None.  ``matrix`` is
+    ``g.matrix()``, passed by a caller that has built it already.  A label
+    above delta misses the table; the graph is then walked triangle by
+    triangle through classify_triangle, which raises RangeError only in a
+    fully specified triangle.
 
     ``bits`` are per-label bitsets of a complete ``g``, as complete_magic
     keeps them: bit v of ``bits[d][u]`` is set when u and v are at distance
@@ -197,11 +198,10 @@ def violations(
     BITSET_MIN_VERTICES vertices is checked on them instead (_bitset_check).
     """
     dist = g.matrix() if matrix is None else matrix
-    families = fork_families(None, params)
+    bad, forbidden = _triangle_table(params)
     n = g.vertex_count
     if bits is not None and n >= BITSET_MIN_VERTICES:
-        return _bitset_check(dist, bits, families)
-    bad = families.bad
+        return _bitset_check(dist, bits, bad, forbidden)
     out = []
     try:
         for i in range(n - 2):
@@ -228,19 +228,19 @@ def violations(
     return out
 
 
-def _bitset_check(dist, bits, families) -> list[TriangleViolation]:
+def _bitset_check(dist, bits, bad, forbidden) -> list[TriangleViolation]:
     """violations() of a complete graph, from its per-label bitsets.
 
+    ``bad`` and ``forbidden`` are the class's params._triangle_table.
     Triangle (i, j, k) with sides a = ij, b = ik, c = jk is forbidden when
     ``bad[a][b][c]`` is not None.  So for row i and label a, the mask
-    ``G[a][c]``, the OR of ``bits[b][i]`` over the b that
-    ForkFamilies.forbidden lists for (a, c), holds every k that closes such
-    a triangle with a j at distance c from k, and edge (i, j) of label a
-    meets one exactly where ``bits[c][j] & G[a][c]`` has a bit k > j.  The
-    masks are built once per row i, for the labels that row holds right of
-    i; set bits are listed ascending, which keeps the row scan's order.
+    ``G[a][c]``, the OR of ``bits[b][i]`` over the b that ``forbidden[a]``
+    lists for c, holds every k that closes such a triangle with a j at
+    distance c from k, and edge (i, j) of label a meets one exactly where
+    ``bits[c][j] & G[a][c]`` has a bit k > j.  The masks are built once per
+    row i, for the labels that row holds right of i; set bits are listed
+    ascending, which keeps the row scan's order.
     """
-    bad, forbidden = families.bad, families.forbidden
     n = len(dist)
     labels = range(1, len(bad))
     full = (1 << n) - 1

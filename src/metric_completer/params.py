@@ -4,8 +4,8 @@ A class of finite integer metric spaces is described by three integers:
 ``delta`` bounds every distance, every triangle perimeter must stay strictly
 below ``c``, and every odd triangle perimeter must be at least ``2*k + 1``.
 This module validates parameter triples, classifies distance triples against
-the three constraints (once per triple, into a cached status table), computes
-the magic distances, and builds the fork families and insertion schedule that
+the three constraints (once per class, into one cached table), computes the
+magic distances, and builds the fork families and insertion schedule that
 drive the completion engine.
 """
 
@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import ParameterError, RangeError
+from .errors import CapacityError, ParameterError, RangeError
 
 Fork = tuple[int, int]
 
@@ -120,22 +120,49 @@ def classify_triangle(a: int, b: int, c: int, params: Params) -> TriangleStatus:
     return TriangleStatus.ALLOWED
 
 
-@lru_cache(maxsize=None)
-def _status_table(params: Params) -> list[list[list[TriangleStatus | None]]]:
-    """status[a][b][c] = classify_triangle(a, b, c, params) over 0..delta,
-    None wherever an index is 0.
+# _triangle_table refuses a delta above this.  Its table has (delta + 1)^3
+# entries: in a fresh process on a shared 2-core VM (Python 3.11) it took
+# 0.69 s to build at delta = 64, with a peak RSS of 18 MB, and 2.5 s and
+# 29 MB at delta = 100, against 13 MB for the bare interpreter.
+MAX_DELTA = 100
 
-    A label above delta makes the lookup raise IndexError; callers then call
-    classify_triangle, which raises RangeError.
+
+@lru_cache(maxsize=None)
+def _triangle_table(params: Params):
+    """The forbidden triangles of the class, as ``(bad, forbidden)``.
+
+    ``bad[a][b][c]`` is classify_triangle(a, b, c, params) for a forbidden
+    triangle, None for an allowed one or where an index is 0; a label above
+    delta makes the lookup raise IndexError.  ``forbidden[a]`` holds
+    ``(c, bs)`` for each c in 1..delta that some b forbids beside a, with
+    ``bs`` the ascending b for which ``bad[a][b][c]`` is not None.  Neither
+    depends on the magic distance.  A delta above MAX_DELTA raises
+    CapacityError before anything is built.
     """
+    if params.delta > MAX_DELTA:
+        raise CapacityError(f"delta={params.delta} exceeds the cap of {MAX_DELTA}")
     span = range(params.delta + 1)
-    return [
-        [
-            [classify_triangle(a, b, c, params) if a and b and c else None for c in span]
+    allowed = TriangleStatus.ALLOWED
+    bad = tuple(
+        tuple(
+            tuple(
+                s if a and b and c and (s := classify_triangle(a, b, c, params)) is not allowed
+                else None
+                for c in span
+            )
             for b in span
-        ]
+        )
         for a in span
-    ]
+    )
+    forbidden = tuple(
+        tuple(
+            (c, bs)
+            for c in span
+            if (bs := tuple(b for b in span if plane[b][c] is not None))
+        )
+        for plane in bad
+    )
+    return bad, forbidden
 
 
 def magic_distances(params: Params) -> tuple[int, ...]:
@@ -166,9 +193,8 @@ def fork_range(a: int, b: int, params: Params) -> tuple[int, ...]:
     """All distances that close the fork (a, b) into an allowed triangle."""
     _check_distance(a, params)
     _check_distance(b, params)
-    row = _status_table(params)[a][b]
-    allowed = TriangleStatus.ALLOWED
-    return tuple(x for x in range(1, params.delta + 1) if row[x] is allowed)
+    row = _triangle_table(params)[0][a][b]
+    return tuple(x for x in range(1, params.delta + 1) if row[x] is None)
 
 
 def fork_choice(a: int, b: int, magic: int, params: Params) -> int:
@@ -209,22 +235,12 @@ class ForkFamilies:
     difference forks; forks whose choice is magic are filled in the final step.
     ``tag[fork]`` is the Family of each fork in the schedule: the fork inserts
     only ``choice[fork]``, so one tag per fork serves every rank.
-
-    ``bad[a][b][c]`` is the status table with ALLOWED read as None: the
-    status of a forbidden triangle, None for an allowed one or where an index
-    is 0.  ``forbidden[a]`` holds ``(c, bs)`` for each c in 1..delta that
-    some b forbids beside a, with ``bs`` the ascending b for which
-    ``bad[a][b][c]`` is not None; the bitset final check in
-    graphs.violations reads it.  Neither depends on magic; they are kept
-    here so that no second cache keyed on Params is needed.
     """
 
     magic: int
     choice: Mapping[Fork, int]
     schedule: tuple[tuple[int, int, frozenset[Fork]], ...]
     tag: Mapping[Fork, Family]
-    bad: tuple[tuple[tuple[TriangleStatus | None, ...], ...], ...]
-    forbidden: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
     def family(self, x: int) -> frozenset[Fork]:
         """The forks whose presence inserts distance x (empty if none do)."""
@@ -240,8 +256,11 @@ def fork_families(magic: int | None, params: Params) -> ForkFamilies:
 
     ``None`` means default_magic(params); anything that is not a magic
     distance raises ParameterError.  This is the one place a magic distance
-    is checked.  Cached per (magic, params), with 4 and 4.0 kept apart.
+    is checked.  Cached per (magic, params), with 4 and 4.0 kept apart.  The
+    class's triangle table is asked for first, so a delta above MAX_DELTA
+    raises CapacityError before any magic distance is listed.
     """
+    _triangle_table(params)
     if magic is None:
         magic = default_magic(params)
     require_magic(magic, params)
@@ -260,25 +279,4 @@ def fork_families(magic: int | None, params: Params) -> ForkFamilies:
         (time_function(x, magic, delta), x, frozenset(forks))
         for x, forks in inserted.items()
     ))
-    allowed = TriangleStatus.ALLOWED
-    bad = tuple(
-        tuple(tuple(None if s is allowed else s for s in row) for row in plane)
-        for plane in _status_table(params)
-    )
-    span = range(delta + 1)
-    forbidden = tuple(
-        tuple(
-            (c, bs)
-            for c in span
-            if (bs := tuple(b for b in span if plane[b][c] is not None))
-        )
-        for plane in bad
-    )
-    return ForkFamilies(
-        magic=magic,
-        choice=choice,
-        schedule=schedule,
-        tag=tag,
-        bad=bad,
-        forbidden=forbidden,
-    )
+    return ForkFamilies(magic=magic, choice=choice, schedule=schedule, tag=tag)

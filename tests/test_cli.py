@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from metric_completer import (
 )
 from metric_completer import cli
 from metric_completer.cli import main
+from metric_completer.completion import MAX_VERTICES
+from metric_completer.params import MAX_DELTA, _triangle_table
 
 from oracles import complete_json_oracle, complete_magic_oracle
 
@@ -448,6 +451,38 @@ class TestVertexCap:
         count = text.split()[5]
         assert (code, out) == (3, "")
         assert err == f"error: {count} vertices exceed the engine's cap of 1000\n"
+
+
+class TestDeltaCap:
+    @pytest.mark.parametrize("delta", [MAX_DELTA + 1, 10**9])
+    @pytest.mark.parametrize(
+        "command", ["magic", "forks", "obstacles", "complete", "trace-obstacle"]
+    )
+    def test_large_delta_is_refused_at_once(self, capsys, graph_file, command, delta):
+        # c = 3*delta + 1 gives the most magic distances, about delta/2 of them
+        c = 3 * delta + 1
+        if command in ("complete", "trace-obstacle"):
+            text = f"params {delta} 1 {c}\nvertices 3\nedge 0 1 1\nedge 1 2 1\n"
+            argv = [command, graph_file("wide.graph", text)]
+        else:
+            argv = [command, "--delta", str(delta), "--k", "1", "--c", str(c)]
+            if command == "obstacles":
+                argv += ["--n", "3"]
+        cached = _triangle_table.cache_info().currsize
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: delta={delta} exceeds the cap of {MAX_DELTA}\n"
+        assert _triangle_table.cache_info().currsize == cached
+
+
+def test_readme_states_the_caps():
+    # the exit-code paragraph names each cap with its current value
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Exit codes:"))
+    text = " ".join(paragraph.split())
+    vertex_cap = f"more than {MAX_VERTICES} vertices (the engine's cap, `completion.MAX_VERTICES`"
+    assert vertex_cap in text
+    assert f"delta is above {MAX_DELTA} (`params.MAX_DELTA`" in text
 
 
 class TestErrors:

@@ -681,11 +681,16 @@ class TestOracle:
         assert _count_over_budget(2, 100, 2**100 - 1) == "2^100"
 
     def test_label_beyond_delta_is_a_range_error(self):
-        # the 7 sits in no complete triangle of the input, so only the search
-        # meets it, when it tries to close the pair (0, 2)
-        g = EdgeLabelledGraph(3, [(0, 1, 7), (1, 2, 1)])
-        with pytest.raises(RangeError, match="distance 7 outside 1..6"):
-            oracle_complete(g, PAR)
+        # the 7 sits in no complete triangle of the input; on 2 vertices it
+        # sits in none of the completion either, so only the label check
+        # up front can catch it
+        for g in (
+            EdgeLabelledGraph(3, [(0, 1, 7), (1, 2, 1)]),
+            EdgeLabelledGraph(2, [(0, 1, 7)]),
+        ):
+            for complete in (oracle_complete, shortest_path_completion):
+                with pytest.raises(RangeError, match="distance 7 outside 1..6"):
+                    complete(g, PAR)
 
 
 class TestSandwich:

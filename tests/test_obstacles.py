@@ -36,6 +36,7 @@ from metric_completer import (
     verify_catalogue,
 )
 from metric_completer.completion import _decide_cycles
+from metric_completer.params import _triangle_table
 
 from oracles import canonical_cycles_oracle, cycle_completes_oracle
 
@@ -100,24 +101,11 @@ def decider_mismatches(cycles, params, magic):
 
 def shifted_families(families, shift):
     """``families`` with every label raised by ``shift``: the same class
-    copied onto labels shift+1..shift+delta, with the labels below unused.
-    The tables stay sparse, where fork_families of a class that large would
-    build delta^3 entries."""
-    delta = len(families.bad) - 1
-    span = shift + delta + 1
+    copied onto labels shift+1..shift+delta, with the labels below unused."""
 
     def up(fork):
         return (fork[0] + shift, fork[1] + shift)
 
-    empty = (None,) * span
-    bad = [[empty] * span for _ in range(span)]
-    forbidden = [()] * span
-    for a in range(1, delta + 1):
-        for b in range(1, delta + 1):
-            bad[a + shift][b + shift] = (None,) * (shift + 1) + families.bad[a][b][1:]
-        forbidden[a + shift] = tuple(
-            (c + shift, tuple(b + shift for b in bs)) for c, bs in families.forbidden[a]
-        )
     return ForkFamilies(
         magic=families.magic + shift,
         choice={up(fork): x + shift for fork, x in families.choice.items()},
@@ -126,9 +114,26 @@ def shifted_families(families, shift):
             for rank, x, fam in families.schedule
         ),
         tag={up(fork): tag for fork, tag in families.tag.items()},
-        bad=bad,
-        forbidden=forbidden,
     )
+
+
+def shifted_table(table, shift):
+    """A _triangle_table with every label raised by ``shift``, as for
+    shifted_families.  The tables stay sparse; _triangle_table itself refuses
+    a delta that large (MAX_DELTA)."""
+    bad, forbidden = table
+    delta = len(bad) - 1
+    span = shift + delta + 1
+    empty = (None,) * span
+    up_bad = [[empty] * span for _ in range(span)]
+    up_forbidden = [()] * span
+    for a in range(1, delta + 1):
+        for b in range(1, delta + 1):
+            up_bad[a + shift][b + shift] = (None,) * (shift + 1) + bad[a][b][1:]
+        up_forbidden[a + shift] = tuple(
+            (c + shift, tuple(b + shift for b in bs)) for c, bs in forbidden[a]
+        )
+    return up_bad, up_forbidden
 
 
 def assert_maps_into(obstacle, hom, target):
@@ -380,6 +385,7 @@ class TestCycleDecider:
         # lane masks must index labels that no byte holds
         big = Params(300, 1, 700)
         shifted = {m: shifted_families(fork_families(m, PAR), 294) for m in (3, 4)}
+        table = shifted_table(_triangle_table(PAR), 294)
         cases = []
         for size in (3, 4, 5, 6):
             cycles = list(obstacles._canonical_cycles(6, size))
@@ -389,10 +395,11 @@ class TestCycleDecider:
                 cases.append((cycles, magic, _decide_cycles(cycles, PAR, magic)))
 
         def fake(magic, params):
-            return shifted[4 if magic is None else magic - 294]
+            return shifted[magic - 294]
 
         monkeypatch.setattr(completion, "fork_families", fake)
-        monkeypatch.setattr(graphs, "fork_families", fake)
+        monkeypatch.setattr(completion, "_triangle_table", lambda params: table)
+        monkeypatch.setattr(graphs, "_triangle_table", lambda params: table)
         for cycles, magic, mask in cases:
             raised = [tuple(x + 294 for x in cyc) for cyc in cycles]
             assert decider_mismatches(raised, big, magic + 294) == [], magic

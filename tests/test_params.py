@@ -1,11 +1,15 @@
 """Parameter validation, triangle classification, magic distances, forks."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from metric_completer import (
+    CapacityError,
+    EdgeLabelledGraph,
     ForkFamilies,
     ParameterError,
     Params,
@@ -21,7 +25,8 @@ from metric_completer import (
     time_function,
     validate_params,
 )
-from metric_completer.params import _status_table
+from metric_completer.graphs import violations
+from metric_completer.params import MAX_DELTA, _triangle_table
 
 from oracles import families_oracle, family_tag_oracle, magic_oracle
 
@@ -145,20 +150,76 @@ class TestClassify:
         with pytest.raises(ParameterError):
             classify_triangle(1, 1, 1, Params(6, 7, 15))
 
-    def test_status_table_matches_classify_triangle(self):
-        # the cached table that violations, fork_range and the oracle read in
-        # place of classify_triangle; its size matters too, because a label
-        # above delta must miss the table to reach classify_triangle's check
+    def test_triangle_table_matches_classify_triangle(self):
+        # the one cached table that violations, fork_range, the decider and
+        # the oracle read in place of classify_triangle; its size matters
+        # too, because a label above delta must miss it to reach
+        # classify_triangle's check
+        allowed = TriangleStatus.ALLOWED
         for par in acceptable_triples(8):
-            table = _status_table(par)
+            bad, forbidden = _triangle_table(par)
             span = range(par.delta + 1)
-            assert len(table) == len(span), par
-            assert all(len(row) == len(span) for plane in table for row in plane), par
+            assert len(bad) == len(forbidden) == len(span), par
+            assert all(len(row) == len(span) for plane in bad for row in plane), par
             for a, b, c in itertools.product(span, repeat=3):
-                if a and b and c:
-                    assert table[a][b][c] is classify_triangle(a, b, c, par), (par, a, b, c)
+                if a and b and c and classify_triangle(a, b, c, par) is not allowed:
+                    assert bad[a][b][c] is classify_triangle(a, b, c, par), (par, a, b, c)
                 else:
-                    assert table[a][b][c] is None, (par, a, b, c)
+                    assert bad[a][b][c] is None, (par, a, b, c)
+            for a in span:
+                # forbidden[a]: ascending c, each with the ascending b that
+                # bad forbids beside (a, c), and no c that forbids nothing
+                cs = [c for c, _ in forbidden[a]]
+                assert cs == sorted(set(cs)), (par, a)
+                assert all(bs and list(bs) == sorted(set(bs)) for _, bs in forbidden[a])
+                listed = {(b, c) for c, bs in forbidden[a] for b in bs}
+                marked = {
+                    (b, c)
+                    for b, c in itertools.product(span, repeat=2)
+                    if bad[a][b][c] is not None
+                }
+                assert listed == marked, (par, a)
+
+
+class TestTriangleTable:
+    def test_one_table_per_class(self):
+        # in a fresh interpreter: an engine run caches one table and the
+        # ForkFamilies of its magic; violations and the oracle need no magic
+        script = (
+            "from metric_completer import EdgeLabelledGraph, Params, complete_magic, "
+            "fork_families, oracle_complete, violations\n"
+            "from metric_completer.params import _triangle_table\n"
+            "g = EdgeLabelledGraph(3, [(0, 1, 1), (1, 2, 1)])\n"
+            "complete_magic(g, Params(6, 2, 15), 3)\n"
+            "print(_triangle_table.cache_info().currsize, fork_families.cache_info().currsize)\n"
+            "violations(g, Params(5, 1, 12))\n"
+            "oracle_complete(g, Params(4, 1, 10))\n"
+            "print(_triangle_table.cache_info().currsize, fork_families.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "1 1\n3 1\n"
+
+    @pytest.mark.parametrize(
+        "par", [Params(MAX_DELTA + 1, 1, 2 * MAX_DELTA + 4), Params(10**9, 1, 3 * 10**9 + 1)]
+    )
+    def test_no_table_above_the_cap(self, par):
+        # the table is asked for before the magic distance is resolved, so
+        # no list of magic distances is built either
+        cached = _triangle_table.cache_info().currsize
+        message = f"delta={par.delta} exceeds the cap of {MAX_DELTA}"
+        for call in (
+            lambda: _triangle_table(par),
+            lambda: fork_families(None, par),
+            lambda: fork_families(5, par),
+            lambda: fork_range(1, 1, par),
+            lambda: violations(EdgeLabelledGraph(3, [(0, 1, 1)]), par),
+        ):
+            with pytest.raises(CapacityError, match=f"^{message}$"):
+                call()
+        assert _triangle_table.cache_info().currsize == cached
 
 
 class TestMagic:
