@@ -9,6 +9,7 @@ completion to a witness).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from contextlib import nullcontext
@@ -348,9 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs more than a small command's work.
+# Parsing leaves no state on it, and its usage and error text go to the
+# sys.stderr current at the time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, RangeError, FormatError, OSError) as exc:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import filterfalse, islice
+from math import gcd
 
 from .completion import CompletionStatus, complete_magic, oracle_complete
 from .completion import _count_over_budget, _decide_cycles
@@ -125,30 +126,95 @@ class ObstacleCatalogue:
 def _canonical_cycles(delta: int, size: int):
     """Every canonical sequence of ``size`` labels in 1..delta, ascending.
 
-    The Fredricksen-Kessler-Maiorana algorithm walks the prenecklaces in
-    lexicographic order; one whose longest Lyndon prefix, of length p,
-    divides ``size`` is a necklace, the least of its rotations.  A necklace
-    is canonical when no rotation of its reverse is smaller.
+    The canonical sequences are the bracelets: the necklaces (least among
+    their rotations) that no rotation of their reverse undercuts.  They come
+    from J. Sawada's generator ("Generating bracelets in constant amortized
+    time", SIAM J. Comput. 31(1), 2001), which extends a prenecklace
+    a[1..t] one label at a time in lexicographic order, as the
+    Fredricksen-Kessler-Maiorana algorithm does, with p the length of its
+    longest Lyndon prefix.  Its reversal test works on runs of a[1]: with u
+    the length of the leading run and v that of the trailing run, a reversal
+    can undercut the prefix only when u == v, and only then is the prefix
+    compared with its reverse (a mismatch prunes the branch).  A comparison
+    still equal so far is carried as the start r of the reversed part and
+    the flag rs, set once the reverse is smaller; the labels placed at the
+    mirrored positions later settle it.
+
+    Sawada's recursion runs here as a loop over the positions t, keeping the
+    arguments of each position's later children in R, S and U; the last
+    position emits its labels without descending.  The generator is lazy:
+    it raises RangeError for a size below 3 on the first next().
     """
     if size < 3:
         raise RangeError("a cycle needs at least 3 labels")
-    a = [1] * size
-    p = 1
-    cuts = [slice(i, i + size) for i in range(size)]
-    while True:
-        if not size % p:
-            seq = tuple(a)
-            if seq <= min(map((seq[::-1] * 2).__getitem__, cuts)):
-                yield seq
-        i = size - 1  # the next prenecklace raises the last label below delta
-        while a[i] == delta:
-            i -= 1
-            if i < 0:
-                return
-        a[i] += 1
-        p = i + 1
-        for j in range(p, size):  # and repeats its first p labels
-            a[j] = a[j - p]
+    n = size
+    a = [0] * (n + 1)  # a[1..n]; a[0] is never read
+    R = [0] * n
+    S = [False] * n
+    U = [0] * n
+    ends = [(j,) for j in range(delta + 1)]
+    for first in range(1, delta + 1):
+        a[1] = first
+        t, p, r, u, v, rs = 2, 1, 1, 1, 1, False
+        while True:
+            # enter position t: the reversal comparison takes in a[t - 1]
+            if t - 1 > (n - r) // 2 + r:
+                x, y = a[t - 1], a[n - t + 2 + r]
+                if x != y:
+                    rs = x < y
+            # the first child repeats the Lyndon prefix: a[t] = a[t - p]
+            x = a[t] = a[t - p]
+            if x == first:
+                v += 1
+                if u == t - 1:
+                    u = t
+            else:
+                v = 0
+            if t < n:
+                R[t], S[t], U[t] = r, rs, u - (u == t)
+                if u != v:
+                    t += 1
+                    continue
+                m = (t + 1) // 2
+                lead, mirror = a[u + 1 : m + 1], a[t - m + 1 : t - u + 1][::-1]
+                if lead == mirror:
+                    t, r, rs = t + 1, t, False
+                    continue
+                if lead < mirror:
+                    t += 1
+                    continue
+            else:
+                # the last position: its children are the sequences themselves
+                head = tuple(a[1:n])
+                q, s = r, rs  # for the first child, a[n] = x
+                if u != n and x == first:
+                    q = 0  # pruned
+                elif u == v:
+                    m = (n + 1) // 2
+                    lead, mirror = a[u + 1 : m + 1], a[n - m + 1 : n - u + 1][::-1]
+                    if lead == mirror:
+                        q, s = n, False
+                    elif lead > mirror:
+                        q = 0
+                if q and not n % p:
+                    if q < n and x != a[q + 1]:
+                        s = x < a[q + 1]
+                    if not s:
+                        yield head + (x,)
+                # the later children a[n] = j > x have p = n; j meets a[r + 1]
+                if r + 1 < n:
+                    yield from map(head.__add__, ends[max(x + 1, a[r + 1] + rs) :])
+                elif not rs:
+                    yield from map(head.__add__, ends[x + 1 :])
+                t = n - 1
+            # the next child of the deepest position that has one
+            while a[t] == delta:
+                t -= 1
+            if t < 2:
+                break
+            a[t] += 1
+            p, r, u, v, rs = t, R[t], U[t], 0, S[t]
+            t += 1
 
 
 # Cycles decided per _decide_cycles call, so that memory stays bounded by
@@ -248,6 +314,49 @@ _SAMPLE_SIZE = 20
 _SAMPLE_SEED = 0
 
 
+def _canonical_cycle_count(delta: int, size: int) -> int:
+    """How many sequences _canonical_cycles(delta, size) yields, by
+    Burnside's lemma: N necklaces over the rotations, then the bracelets
+    over the rotations and reflections of a ``size``-gon."""
+    necklaces = sum(delta ** gcd(i, size) for i in range(size)) // size
+    if size % 2:
+        return (necklaces + delta ** ((size + 1) // 2)) // 2
+    return (2 * necklaces + (delta + 1) * delta ** (size // 2)) // 4
+
+
+def _sample_non_entries(catalogue: ObstacleCatalogue) -> list[tuple[int, ...]]:
+    """The canonical non-entries of the catalogue's size that
+    random.Random(_SAMPLE_SEED).sample would draw from their ascending list,
+    or all of them when there are at most _SAMPLE_SIZE.
+
+    random.sample picks by position alone, so the positions are drawn from
+    the count of non-entries, and one pass over the canonical cycles, which
+    stops after the last of them, picks the sequences out.
+    """
+    delta, size = catalogue.params.delta, catalogue.size
+    if size < 3:
+        raise RangeError("a cycle needs at least 3 labels")
+    # only the canonical entries of this size are in the walk
+    entries = {
+        cyc
+        for cyc in catalogue.cycles
+        if len(cyc) == size
+        and all(1 <= x <= delta for x in cyc)
+        and canonical_cycle(cyc) == cyc
+    }
+    total = _canonical_cycle_count(delta, size) - len(entries)
+    if total > _SAMPLE_SIZE:
+        positions = random.Random(_SAMPLE_SEED).sample(range(total), _SAMPLE_SIZE)
+    else:
+        positions = range(total)
+    picked = dict.fromkeys(positions)
+    others = filterfalse(entries.__contains__, _canonical_cycles(delta, size))
+    for pos, seq in enumerate(islice(others, max(positions, default=-1) + 1)):
+        if pos in picked:
+            picked[pos] = seq
+    return [picked[pos] for pos in positions]
+
+
 def verify_catalogue(catalogue: ObstacleCatalogue, budget: int = 10**8) -> CatalogueReport:
     """Cross-check a catalogue against the exhaustive oracle.
 
@@ -266,14 +375,7 @@ def verify_catalogue(catalogue: ObstacleCatalogue, budget: int = 10**8) -> Catal
             return CatalogueReport(
                 False, len(catalogue.cycles), 0, f"entry {cyc} completes"
             )
-    entries = set(catalogue.cycles)
-    others = [
-        seq
-        for seq in _canonical_cycles(params.delta, catalogue.size)
-        if seq not in entries
-    ]
-    if len(others) > _SAMPLE_SIZE:
-        others = random.Random(_SAMPLE_SEED).sample(others, _SAMPLE_SIZE)
+    others = _sample_non_entries(catalogue)
     for cyc in others:
         if oracle_complete(cycle_graph(cyc), params, budget) is None:
             return CatalogueReport(

@@ -6,6 +6,7 @@ direct way, one classify_triangle call or one completion at a time.
 
 import itertools
 import json
+import random
 
 from metric_completer import (
     CompletionResult,
@@ -13,8 +14,10 @@ from metric_completer import (
     CompletionTrace,
     EdgeLabelledGraph,
     Family,
+    ObstacleCatalogue,
     Params,
     PreconditionError,
+    RangeError,
     TraceStep,
     TriangleStatus,
     TriangleViolation,
@@ -25,6 +28,7 @@ from metric_completer import (
     fork_families,
 )
 from metric_completer.completion import _completion_values
+from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE
 
 
 def magic_oracle(params: Params) -> tuple[int, ...]:
@@ -83,6 +87,49 @@ def canonical_cycles_oracle(delta: int, size: int) -> list[tuple[int, ...]]:
             if canonical_cycle(seq) == seq:
                 out.append(seq)
     return out
+
+
+def canonical_necklaces_oracle(delta: int, size: int):
+    """Every canonical label sequence, ascending, from the necklaces: the
+    Fredricksen-Kessler-Maiorana algorithm walks the prenecklaces in
+    lexicographic order; one whose longest Lyndon prefix, of length p,
+    divides ``size`` is a necklace, the least of its rotations.  A necklace
+    is canonical when no rotation of its reverse is smaller.  The reference
+    for the bracelet generator obstacles._canonical_cycles."""
+    if size < 3:
+        raise RangeError("a cycle needs at least 3 labels")
+    a = [1] * size
+    p = 1
+    cuts = [slice(i, i + size) for i in range(size)]
+    while True:
+        if not size % p:
+            seq = tuple(a)
+            if seq <= min(map((seq[::-1] * 2).__getitem__, cuts)):
+                yield seq
+        i = size - 1  # the next prenecklace raises the last label below delta
+        while a[i] == delta:
+            i -= 1
+            if i < 0:
+                return
+        a[i] += 1
+        p = i + 1
+        for j in range(p, size):  # and repeats its first p labels
+            a[j] = a[j - p]
+
+
+def sample_non_entries_oracle(catalogue: ObstacleCatalogue) -> list[tuple[int, ...]]:
+    """The non-entries verify_catalogue checks, the direct way: list every
+    canonical sequence of the catalogue's size that is not an entry, and let
+    random.sample draw from that list when it is longer than the sample."""
+    entries = set(catalogue.cycles)
+    others = [
+        seq
+        for seq in canonical_necklaces_oracle(catalogue.params.delta, catalogue.size)
+        if seq not in entries
+    ]
+    if len(others) > _SAMPLE_SIZE:
+        others = random.Random(_SAMPLE_SEED).sample(others, _SAMPLE_SIZE)
+    return others
 
 
 def cycle_completes_oracle(labels, params: Params, magic: int) -> bool:

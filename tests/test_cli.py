@@ -1,5 +1,7 @@
 """End-to-end command-line tests, run in process through cli.main."""
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -22,9 +24,10 @@ from metric_completer import (
     format_graph,
     magic_distances,
 )
-from metric_completer import cli
+from metric_completer import cli, obstacles
 from metric_completer.cli import main
 from metric_completer.completion import MAX_VERTICES
+from metric_completer.graphs import parse_graph
 from metric_completer.params import MAX_DELTA, _triangle_table
 
 from oracles import complete_json_oracle, complete_magic_oracle
@@ -102,6 +105,24 @@ graph completion {
   0 -- 1 [label=1];
   0 -- 2 [label=5, rank=2, style=dashed];
   1 -- 2 [label=6];
+}
+"""
+
+UNSORTED_116 = (
+    "params 6 2 15\n"
+    "vertices 4\n"
+    "edge 2 3 6\n"
+    "edge 1 3 1\n"
+    "edge 0 1 2\n"
+    "edge 1 2 1\n"
+)
+
+UNSORTED_116_DOT = """\
+graph completion {
+  0 -- 1 [label=2];
+  1 -- 2 [label=1];
+  1 -- 3 [label=1];
+  2 -- 3 [label=6];
 }
 """
 
@@ -246,6 +267,21 @@ class TestComplete:
         )
         assert code == 0
 
+    def test_edges_of_an_input_that_fails_at_once_are_sorted(self, capsys, graph_file):
+        # the forbidden triangle 1,1,6 stops the engine before any rank, so the
+        # final graph is the input, its edges in file order; both writers sort
+        path = graph_file("unsorted.graph", UNSORTED_116)
+        _, g = parse_graph(UNSORTED_116)
+        result = complete_magic(g, Params(6, 2, 15))
+        assert result.trace.steps == ()
+        assert list(result.trace.final_graph.edges) == [(2, 3), (1, 3), (0, 1), (1, 2)]
+        code, out, err = run(capsys, "complete", path, "--format", "json")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["edges"] == [[0, 1, 2], [1, 2, 1], [1, 3, 1], [2, 3, 6]]
+        assert out == complete_json_oracle(Params(6, 2, 15), 4, result) + "\n"
+        code, out, err = run(capsys, "complete", path, "--format", "dot")
+        assert (code, out, err) == (2, UNSORTED_116_DOT, "")
+
     def test_runs_are_byte_stable(self, capsys, graph_file):
         path = graph_file("c11665.graph", C11665)
         first = run(capsys, "complete", path, "--format", "json")
@@ -356,6 +392,24 @@ class TestObstacles:
         )
         assert code == 0
         assert "verified: 21 entries, 20 sampled non-entries" in err
+
+    def test_verify_walks_the_canonical_cycles_twice(self, capsys, monkeypatch):
+        # one pass to decide every cycle, one to pick the sampled non-entries
+        passes = []
+        generate = obstacles._canonical_cycles
+
+        def counting(delta, size):
+            passes.append((delta, size))
+            return generate(delta, size)
+
+        monkeypatch.setattr(obstacles, "_canonical_cycles", counting)
+        code, _, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "6", "--verify",
+        )
+        assert code == 0
+        assert err.endswith("verified: 5 entries, 20 sampled non-entries\n")
+        assert passes == [(6, 6), (6, 6)]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "cat.txt"
@@ -473,6 +527,49 @@ class TestDeltaCap:
         assert (code, out) == (3, "")
         assert err == f"error: delta={delta} exceeds the cap of {MAX_DELTA}\n"
         assert _triangle_table.cache_info().currsize == cached
+
+
+class TestParser:
+    COMMANDS = [
+        ["obstacles", "--delta", "6", "--k", "2", "--c", "15", "--n", "3", "--verify"],
+        ["complete", "GRAPH", "--format", "json"],
+        ["magic", "--delta", "6", "--k", "2"],
+        ["magic", "--delta", "6", "--k", "2", "--c", "15"],
+    ]
+
+    @staticmethod
+    def run_each(commands):
+        """(exit code, stdout, stderr) of each command, each with streams of
+        its own, so that a parser must write to the streams current when it
+        runs."""
+        runs = []
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            runs.append((code, out.getvalue(), err.getvalue()))
+        return runs
+
+    def test_one_parser_serves_every_command(self, graph_file):
+        path = graph_file("c11665.graph", C11665)
+        commands = [[path if x == "GRAPH" else x for x in argv] for argv in self.COMMANDS]
+        fresh = []
+        for argv in commands:
+            cli._parser.cache_clear()
+            fresh += self.run_each([argv])
+        cli._parser.cache_clear()
+        shared = self.run_each(commands)
+        assert cli._parser.cache_info().misses == 1
+        assert shared == fresh
+        usage = shared[2]
+        assert usage[:2] == (1, "")
+        assert usage[2].startswith("usage: metric-completer magic [-h]")
+        assert usage[2].endswith("error: the following arguments are required: --c\n")
+        assert [code for code, _, _ in shared] == [0, 2, 1, 0]
+        assert shared[3][1] == MAGIC_TEXT
 
 
 def test_readme_states_the_caps():

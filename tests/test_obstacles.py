@@ -36,9 +36,15 @@ from metric_completer import (
     verify_catalogue,
 )
 from metric_completer.completion import _decide_cycles
+from metric_completer.obstacles import _canonical_cycle_count, _sample_non_entries
 from metric_completer.params import _triangle_table
 
-from oracles import canonical_cycles_oracle, cycle_completes_oracle
+from oracles import (
+    canonical_cycles_oracle,
+    canonical_necklaces_oracle,
+    cycle_completes_oracle,
+    sample_non_entries_oracle,
+)
 
 PAR = Params(6, 2, 15)
 
@@ -281,13 +287,18 @@ class TestEnumeration:
             assert complete_magic(cycle_graph(cyc), PAR).status is CompletionStatus.FAILED
 
     def test_canonical_cycles_match_the_filter(self):
-        # the necklace generator against the old filter over all sequences
-        for delta in range(1, 7):
-            for size in range(3, 8):
-                if delta**size <= 10**5:
-                    assert list(obstacles._canonical_cycles(delta, size)) == (
-                        canonical_cycles_oracle(delta, size)
-                    ), (delta, size)
+        # the bracelet generator against the filter over all sequences
+        cases = [
+            (delta, size)
+            for delta in range(1, 7)
+            for size in range(3, 8)
+            if delta**size <= 10**5
+        ]
+        cases += [(2, size) for size in range(8, 17)] + [(3, 8), (3, 9), (3, 10), (6, 7)]
+        for delta, size in cases:
+            assert list(obstacles._canonical_cycles(delta, size)) == (
+                canonical_cycles_oracle(delta, size)
+            ), (delta, size)
 
     def test_small_n_rejected(self):
         for size in (2, 4.0, "5"):
@@ -340,6 +351,46 @@ class TestEnumeration:
         assert failed == []
         for magic in (3, 4):
             assert enumerate_obstacle_cycles(PAR, 7, magic=magic).cycles == ()
+
+
+# published counts of binary bracelets, n = 3..9 (OEIS A000029)
+BINARY_BRACELETS = {3: 4, 4: 6, 5: 8, 6: 13, 7: 18, 8: 30, 9: 46}
+
+
+class TestCanonicalCycles:
+    """The bracelet generator against the necklace walk it replaced, and the
+    closed-form count of its output."""
+
+    @pytest.mark.parametrize(
+        "delta, size",
+        [(6, 3), (6, 4), (6, 5), (6, 6), (6, 7), (5, 6), (3, 8), (2, 9), (4, 10), (1, 12)],
+    )
+    def test_matches_the_necklace_walk(self, delta, size):
+        assert list(obstacles._canonical_cycles(delta, size)) == list(
+            canonical_necklaces_oracle(delta, size)
+        )
+
+    def test_count_matches_the_generator(self):
+        for delta in range(1, 7):
+            for size in range(3, 21):
+                if delta**size <= 10**6:
+                    count = sum(1 for _ in obstacles._canonical_cycles(delta, size))
+                    assert _canonical_cycle_count(delta, size) == count, (delta, size)
+
+    def test_count_matches_the_published_binary_counts(self):
+        for size, count in BINARY_BRACELETS.items():
+            assert _canonical_cycle_count(2, size) == count
+
+    def test_generation_is_lazy(self):
+        # 6**12 sequences: only a generator that streams returns at once
+        first = list(itertools.islice(obstacles._canonical_cycles(6, 12), 5))
+        assert first == [(1,) * 11 + (x,) for x in range(1, 6)]
+
+    @pytest.mark.parametrize("size", [2, 1, 0, -1])
+    def test_size_below_three_is_refused_on_first_next(self, size):
+        cycles = obstacles._canonical_cycles(6, size)
+        with pytest.raises(RangeError, match="^a cycle needs at least 3 labels$"):
+            next(cycles)
 
 
 class TestCycleDecider:
@@ -432,6 +483,37 @@ class TestCycleDecider:
                     assert decider_mismatches(cycles, par, magic) == [], (par, magic)
 
 
+def sample_cases():
+    """Catalogues for the non-entry sampler: real ones, and hand-built ones
+    with duplicates, rotations, labels out of range, other lengths, and so
+    many entries that at most _SAMPLE_SIZE non-entries remain."""
+    cases = [
+        enumerate_obstacle_cycles(par, size)
+        for par in (PAR, Params(4, 1, 11), Params(3, 1, 8), Params(2, 1, 6))
+        for size in (3, 4, 5, 6)
+    ]
+    cycles_5 = list(obstacles._canonical_cycles(6, 5))
+    rotated = [cyc[1:] + cyc[:1] for cyc in CYCLES_5]
+    cases += [
+        ObstacleCatalogue(PAR, 5, "exhaustive", ()),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CYCLES_5 + CYCLES_5[:4])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(rotated + CYCLES_5[::2])),
+        ObstacleCatalogue(
+            PAR, 5, "exhaustive", ((1, 1, 1, 1, 7), (0, 1, 1, 1, 1), (1, 1, 6)) + tuple(CYCLES_5)
+        ),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-7])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[7:] + cycles_5[:3])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-20])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-21])),
+        # 21 non-entries, but fewer once duplicates or rotations were counted
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-21] + cycles_5[:3])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-21] + rotated)),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5)),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5 + cycles_5[:1])),
+    ]
+    return cases
+
+
 class TestVerifyCatalogue:
     def test_exhaustive_catalogue_verifies(self):
         report = verify_catalogue(enumerate_obstacle_cycles(PAR, 5))
@@ -483,6 +565,14 @@ class TestVerifyCatalogue:
             cycle_graph(int(ch) for ch in word) for word in self.SAMPLED[n].split()
         ]
         assert searched == expected
+
+    @pytest.mark.parametrize(
+        "catalogue",
+        sample_cases(),
+        ids=lambda cat: f"{cat.params.delta}-{cat.size}-{len(cat.cycles)}",
+    )
+    def test_sample_matches_the_listed_sample(self, catalogue):
+        assert _sample_non_entries(catalogue) == sample_non_entries_oracle(catalogue)
 
     @pytest.mark.parametrize("size", [2, 1, 0, -1])
     def test_size_below_three_is_refused(self, size):
