@@ -251,10 +251,13 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
     """Fill every non-edge with its path distance capped at delta.
 
     Disconnected pairs get delta.  Existing edges are kept as they are.  A
-    label above delta raises RangeError.
+    graph of more than MAX_VERTICES vertices raises CapacityError before
+    anything is allocated, and a label above delta raises RangeError.
     """
-    _check_distance(max(g.edges.values(), default=1), params)
     n = g.vertex_count
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
+    _check_distance(max(g.edges.values(), default=1), params)
     big = float("inf")
     dist = [[big] * n for _ in range(n)]
     for i in range(n):
@@ -301,32 +304,37 @@ def _count_over_budget(base: int, exponent: int, budget: int) -> str | None:
     return f"{base}^{exponent}" if over else None
 
 
-def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
-    """Yield (pairs, values) for every completion of ``g``, depth first.
+def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):
+    """Yield every completion of ``g`` in the class, depth first.
 
-    ``pairs`` is the fixed tuple of unset pairs, grouped so that each new
-    vertex is fully connected before the next one starts; ``values`` is
-    reused between yields and must be copied by consumers that keep it.
+    The holes are counted, and the budget checked on ``delta**holes``, before
+    any is listed.  They are then taken column by column from the distance
+    matrix, so each new vertex is fully connected before the next one starts,
+    and each is tried with the values 1..delta in ascending order.  A
+    completion is ``g``'s edges followed by the holes in that order.
     """
     delta = params.delta
-    pairs = tuple(sorted(g.non_edges(), key=lambda p: (p[1], p[0])))
-    count = _count_over_budget(delta, len(pairs), budget) if pairs else None
+    n = g.vertex_count
+    holes = n * (n - 1) // 2 - len(g.edges)
+    count = _count_over_budget(delta, holes, budget) if holes else None
     if count is not None:
         raise CapacityError(
-            f"{len(pairs)} unset pairs mean {count} assignments, "
+            f"{holes} unset pairs mean {count} assignments, "
             f"over the budget of {budget}"
         )
     _check_distance(max(g.edges.values(), default=1), params)
-    n = g.vertex_count
     dist = g.matrix()
     if violations(g, params, dist):
         return
+    pairs = [(u, v) for v in range(n) for u in range(v) if not dist[u][v]]
     bad = _triangle_table(params)[0]
-    values = [0] * len(pairs)
+    values = [0] * holes
 
     def search(i: int):
-        if i == len(pairs):
-            yield pairs, values
+        if i == holes:
+            edges = dict(g.edges)
+            edges.update(zip(pairs, values))
+            yield EdgeLabelledGraph._trusted(n, edges)
             return
         u, v = pairs[i]
         row_u = dist[u]
@@ -349,15 +357,6 @@ def _completion_values(g: EdgeLabelledGraph, params: Params, budget: int):
         return
 
     yield from search(0)
-
-
-def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):
-    """Yield every completion of ``g`` in the class, in a fixed search order."""
-    n = g.vertex_count
-    for pairs, values in _completion_values(g, params, budget):
-        edges = dict(g.edges)
-        edges.update(zip(pairs, values))
-        yield EdgeLabelledGraph._trusted(n, edges)
 
 
 def oracle_complete(

@@ -26,8 +26,8 @@ from metric_completer import (
     complete_magic,
     cycle_graph,
     fork_families,
+    oracle_completions,
 )
-from metric_completer.completion import _completion_values
 from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE
 
 
@@ -257,9 +257,9 @@ def oracle_value_ranges(g: EdgeLabelledGraph, params: Params, budget: int = 10**
     count = 0
     lows: list[int] | None = None
     highs: list[int] | None = None
-    kept_pairs = None
-    for pairs, values in _completion_values(g, params, budget):
-        kept_pairs = pairs
+    pairs = g.non_edges()
+    for completion in oracle_completions(g, params, budget):
+        values = [completion.edges[pair] for pair in pairs]
         if lows is None:
             lows = list(values)
             highs = list(values)
@@ -273,5 +273,5 @@ def oracle_value_ranges(g: EdgeLabelledGraph, params: Params, budget: int = 10**
     if count == 0:
         return 0, {}
     return count, {
-        pair: (lows[i], highs[i]) for i, pair in enumerate(kept_pairs)
+        pair: (lows[i], highs[i]) for i, pair in enumerate(pairs)
     }

@@ -30,11 +30,7 @@ from metric_completer import (
     violations,
 )
 from metric_completer.graphs import BITSET_MIN_VERTICES
-from metric_completer.completion import (
-    MAX_VERTICES,
-    _completion_values,
-    _count_over_budget,
-)
+from metric_completer.completion import MAX_VERTICES, _count_over_budget
 
 from oracles import complete_magic_oracle, oracle_value_ranges, violations_oracle
 
@@ -369,9 +365,9 @@ class TestTrustedGraphs:
                     complete_magic_oracle(g, PAR, magic).trace.final_graph,
                 ))
             base = [(u, v, d) for (u, v), d in g.edges.items()]
-            searched = itertools.islice(_completion_values(g, PAR, 10**8), 5)
-            for got, (holes, values) in zip(oracle_completions(g, PAR), searched):
-                filled = [(u, v, d) for (u, v), d in zip(holes, values)]
+            holes = sorted(g.non_edges(), key=lambda p: (p[1], p[0]))  # column order
+            for got in itertools.islice(oracle_completions(g, PAR), 5):
+                filled = [(u, v, got.edges[u, v]) for u, v in holes]
                 checked.append((got, EdgeLabelledGraph(g.vertex_count, base + filled)))
         assert {got.vertex_count for got, _ in checked} >= {0, 1}
         for got, ref in checked:
@@ -596,6 +592,13 @@ class TestShortestPath:
         res = shortest_path_completion(EdgeLabelledGraph(2), PAR)
         assert res.trace.final_graph.distance(0, 1) == 6
 
+    def test_vertex_cap(self):
+        # the engine's cap, checked before the n-by-n matrix is allocated
+        with pytest.raises(CapacityError, match="^1001 vertices exceed the engine's cap of 1000$"):
+            shortest_path_completion(EdgeLabelledGraph(MAX_VERTICES + 1), PAR)
+        with pytest.raises(CapacityError):
+            shortest_path_completion(EdgeLabelledGraph(10**8), PAR)
+
     def test_steps_are_tagged_with_path_lengths(self):
         res = shortest_path_completion(fork_input(3, 4), PAR)
         (step,) = res.trace.steps
@@ -667,6 +670,30 @@ class TestOracle:
             oracle_complete(EdgeLabelledGraph(110), PAR)
         with pytest.raises(CapacityError, match="21 unset pairs mean 21936950640377856 "):
             oracle_complete(EdgeLabelledGraph(7), PAR, budget=10**6)
+
+    def test_holes_are_counted_before_any_is_listed(self, monkeypatch):
+        # the budget refuses 10**6 vertices before a matrix or a hole list exists
+        def unlisted(self):
+            raise AssertionError("listed before the budget check")
+
+        monkeypatch.setattr(EdgeLabelledGraph, "matrix", unlisted)
+        monkeypatch.setattr(EdgeLabelledGraph, "non_edges", unlisted)
+        with pytest.raises(CapacityError) as caught:
+            oracle_complete(EdgeLabelledGraph(10**6), PAR)
+        assert str(caught.value) == (
+            "499999500000 unset pairs mean 6^499999500000 assignments, "
+            "over the budget of 100000000"
+        )
+
+    def test_yield_order_on_three_vertices(self):
+        # input edge first, then the holes (0, 1) and (1, 2); values ascend,
+        # the first hole's slowest
+        found = list(oracle_completions(EdgeLabelledGraph(3, [(0, 2, 6)]), PAR))
+        assert [(c.edges[0, 1], c.edges[1, 2]) for c in found] == [
+            (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5),
+            (4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3), (6, 1), (6, 2),
+        ]
+        assert {tuple(c.edges) for c in found} == {((0, 2), (0, 1), (1, 2))}
 
     def test_budget_shortcut_builds_no_power(self):
         class NoPower(int):

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module, no library
+"""Every name a library module imports is used in that module, every
+private name a library module defines is read by the library, no library
 module imports the test-only code, and the library imports nothing beyond
 the standard library and itself."""
 
@@ -31,6 +32,87 @@ def unused_imports(source: str) -> list[str]:
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Module-level names of ``tree`` with one leading underscore, bound by
+    def, class or assignment (tuple unpacking included), with their lines."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                (name.id, name.lineno)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+        else:
+            continue
+        for name, line in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, line)
+    return bound
+
+
+def dead_privates(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module of ``sources``, the private module-level names it binds
+    that no module of ``sources`` reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {
+        module: [
+            f"{name} (line {line})"
+            for name, line in private_names(tree).items()
+            if name not in read
+        ]
+        for module, tree in trees.items()
+    }
+
+
+LIBRARY = {path.name: path.read_text() for path in SOURCES}
+
+
+def test_scan_flags_a_dead_private():
+    sources = {
+        "a.py": (
+            "def _read(): pass\n"
+            "def _dead(): _dead()\n"
+            "class _Shape: pass\n"
+            "_x, (_y, z) = 1, (2, 3)\n"
+            "_n: int = 0\n"
+            "__all__ = []\n"
+            "def public(): _unset = 1\n"
+            "_LIMIT = 5\n"
+        ),
+        "b.py": "from .a import _read, _Shape\nimport a\n_read()\nprint(a._LIMIT, _y)\n",
+    }
+    # _dead reads itself, which counts; a local _unset is not module-level
+    assert dead_privates(sources) == {
+        "a.py": ["_Shape (line 3)", "_x (line 4)", "_n (line 5)"],
+        "b.py": [],
+    }
+
+
+def test_scan_flags_an_orphaned_library_helper():
+    # a private that only a test reads is dead: tests are not scanned
+    sources = dict(LIBRARY)
+    sources["completion.py"] += "\n\ndef _orphaned_values(g, params, budget):\n    pass\n"
+    dead = dead_privates(sources)["completion.py"]
+    assert dead == [f"_orphaned_values (line {len(sources['completion.py'].splitlines()) - 1})"]
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_no_dead_privates(name):
+    assert dead_privates(LIBRARY)[name] == []
 
 
 def imports_of_test_code(source: str) -> list[str]:

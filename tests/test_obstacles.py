@@ -579,6 +579,20 @@ class TestVerifyCatalogue:
         with pytest.raises(RangeError, match="^a cycle needs at least 3 labels$"):
             verify_catalogue(ObstacleCatalogue(PAR, size, "exhaustive", ()))
 
+    def test_entries_of_another_length_are_refused(self, monkeypatch):
+        # a triangle among the 5-cycles, and a 7-cycle: refused before any search
+        def no_search(*args):
+            raise AssertionError("searched before the entries were checked")
+
+        real = enumerate_obstacle_cycles(PAR, 5).cycles
+        monkeypatch.setattr(obstacles, "oracle_complete", no_search)
+        monkeypatch.setattr(obstacles, "_canonical_cycles", no_search)
+        for entry in ((1, 1, 6), (1, 1, 1, 1, 1, 1, 6)):
+            catalogue = ObstacleCatalogue(PAR, 5, "exhaustive", (entry,) + real)
+            with pytest.raises(FormatError) as caught:
+                verify_catalogue(catalogue)
+            assert str(caught.value) == f"entry {entry} does not have 5 labels"
+
     def test_oversized_catalogue_is_refused_at_once(self, monkeypatch):
         # 6**12 sequences to sample from: refused before any search starts
         def no_search(*args):
