@@ -86,7 +86,9 @@ def complete_magic(
     contains a forbidden triangle, and an input that already contains one
     fails immediately.  Defaults to the maximum magic distance when ``magic``
     is omitted.  A graph of more than MAX_VERTICES vertices raises
-    CapacityError before anything is allocated.
+    CapacityError before anything is allocated, and a label above delta
+    raises RangeError from the input's check by violations, before anything
+    is filled.
 
     The engine keeps one bitset per label and vertex: bit v of ``N[d][u]`` is
     set when the distance from u to v is d, and bit v > u of ``N[0][u]`` when
@@ -101,11 +103,6 @@ def complete_magic(
     n = g.vertex_count
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
-    for (u, v), d in g.edges.items():
-        if d > params.delta:
-            raise PreconditionError(
-                f"edge ({u}, {v}) carries {d}, beyond delta={params.delta}"
-            )
 
     dist = g.matrix()
     initial = violations(g, params, dist)
@@ -257,7 +254,7 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
     n = g.vertex_count
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
-    _check_distance(max(g.edges.values(), default=1), params)
+    _check_distance(max(g.edges.values(), default=1), params.delta)
     big = float("inf")
     dist = [[big] * n for _ in range(n)]
     for i in range(n):
@@ -308,7 +305,8 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
     """Yield every completion of ``g`` in the class, depth first.
 
     The holes are counted, and the budget checked on ``delta**holes``, before
-    any is listed.  They are then taken column by column from the distance
+    any is listed; then the input's check by violations refuses a label
+    above delta.  The holes are taken column by column from the distance
     matrix, so each new vertex is fully connected before the next one starts,
     and each is tried with the values 1..delta in ascending order.  A
     completion is ``g``'s edges followed by the holes in that order.
@@ -322,7 +320,6 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
             f"{holes} unset pairs mean {count} assignments, "
             f"over the budget of {budget}"
         )
-    _check_distance(max(g.edges.values(), default=1), params)
     dist = g.matrix()
     if violations(g, params, dist):
         return

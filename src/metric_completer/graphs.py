@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
-from .params import Params, TriangleStatus, _triangle_table, classify_triangle
+from .params import Params, TriangleStatus, _check_distance, _triangle_table
 
 
 class EdgeLabelledGraph:
@@ -177,45 +177,40 @@ def violations(
     Each edge (i, j) walks the rows ``matrix[i][j+1:]`` and
     ``matrix[j][j+1:]`` against the class's table of forbidden triangles
     (params._triangle_table), where an index of 0 reads None.  ``matrix`` is
-    ``g.matrix()``, passed by a caller that has built it already.  A label
-    above delta misses the table; the graph is then walked triangle by
-    triangle through classify_triangle, which raises RangeError only in a
-    fully specified triangle.
+    ``g.matrix()``, passed by a caller that has built it already.  This is
+    the library's one check that each label lies in 1..delta: without
+    ``bits``, a label above delta raises RangeError before the scan,
+    wherever it sits.
 
-    ``bits`` are per-label bitsets of a complete ``g``, as complete_magic
-    keeps them: bit v of ``bits[d][u]`` is set when u and v are at distance
-    d, for d in 1..delta.  One entry may be None; its rows are then the pairs
-    no other label holds.  Given ``bits``, a graph of at least
-    BITSET_MIN_VERTICES vertices is checked on them instead (_bitset_check).
+    ``bits`` are the engine's: per-label bitsets of the complete graph that
+    complete_magic built from an input this check has passed, so its labels
+    are not checked again.  Bit v of ``bits[d][u]`` is set when u and v are
+    at distance d, for d in 1..delta.  One entry may be None; its rows are
+    then the pairs no other label holds.  Given ``bits``, a graph of at
+    least BITSET_MIN_VERTICES vertices is checked on them instead
+    (_bitset_check).
     """
     dist = g.matrix() if matrix is None else matrix
-    bad, forbidden = _triangle_table(params)
     n = g.vertex_count
-    if bits is not None and n >= BITSET_MIN_VERTICES:
-        return _bitset_check(dist, bits, bad, forbidden)
+    if bits is None:
+        _check_distance(max(g.edges.values(), default=1), params.delta)
+    elif n >= BITSET_MIN_VERTICES:
+        return _bitset_check(dist, bits, *_triangle_table(params))
+    bad = _triangle_table(params)[0]
     out = []
-    try:
-        for i in range(n - 2):
-            row_i = dist[i]
-            for j in range(i + 1, n - 1):
-                a = row_i[j]
-                if not a:
-                    continue
-                row_j = dist[j]
-                bad_a = bad[a]
-                for k in range(j + 1, n):
-                    status = bad_a[row_i[k]][row_j[k]]
-                    if status is not None:
-                        sides = tuple(sorted((a, row_i[k], row_j[k])))
-                        out.append(TriangleViolation((i, j, k), sides, status))
-    except IndexError:  # a label above delta
-        out = []
-        for i, j, k in itertools.combinations(range(n), 3):
-            sides = (dist[i][j], dist[i][k], dist[j][k])
-            if all(sides):
-                status = classify_triangle(*sides, params)
-                if status is not TriangleStatus.ALLOWED:
-                    out.append(TriangleViolation((i, j, k), tuple(sorted(sides)), status))
+    for i in range(n - 2):
+        row_i = dist[i]
+        for j in range(i + 1, n - 1):
+            a = row_i[j]
+            if not a:
+                continue
+            row_j = dist[j]
+            bad_a = bad[a]
+            for k in range(j + 1, n):
+                status = bad_a[row_i[k]][row_j[k]]
+                if status is not None:
+                    sides = tuple(sorted((a, row_i[k], row_j[k])))
+                    out.append(TriangleViolation((i, j, k), sides, status))
     return out
 
 

@@ -189,13 +189,8 @@ def _canonical_cycles(delta: int, size: int):
                 q, s = r, rs  # for the first child, a[n] = x
                 if u != n and x == first:
                     q = 0  # pruned
-                elif u == v:
-                    m = (n + 1) // 2
-                    lead, mirror = a[u + 1 : m + 1], a[n - m + 1 : n - u + 1][::-1]
-                    if lead == mirror:
-                        q, s = n, False
-                    elif lead > mirror:
-                        q = 0
+                elif u == n:  # the only u == v left (x != first sets v = 0): empty slices tie
+                    q, s = n, False
                 if q and not n % p:
                     if q < n and x != a[q + 1]:
                         s = x < a[q + 1]
@@ -265,7 +260,7 @@ def enumerate_obstacle_cycles(
     size: int,
     method: str = "exhaustive",
     magic: int | None = None,
-    budget: int = 10**7,
+    budget: int = 10**8,
 ) -> ObstacleCatalogue:
     """All non-completable cycles with ``size`` edges, up to canonical form.
 

@@ -97,9 +97,9 @@ class TriangleStatus(Enum):
     LONG_PERIMETER = "long-perimeter"
 
 
-def _check_distance(value, params: Params) -> None:
-    if not _is_positive_int(value) or value > params.delta:
-        raise RangeError(f"distance {value!r} outside 1..{params.delta}")
+def _check_distance(value, delta: int) -> None:
+    if not _is_positive_int(value) or value > delta:
+        raise RangeError(f"distance {value!r} outside 1..{delta}")
 
 
 def classify_triangle(a: int, b: int, c: int, params: Params) -> TriangleStatus:
@@ -109,7 +109,7 @@ def classify_triangle(a: int, b: int, c: int, params: Params) -> TriangleStatus:
     of non-metric, odd-short, long-perimeter.  Symmetric in a, b, c.
     """
     for value in (a, b, c):
-        _check_distance(value, params)
+        _check_distance(value, params.delta)
     perimeter = a + b + c
     if 2 * max(a, b, c) > perimeter:
         return TriangleStatus.NON_METRIC
@@ -191,8 +191,8 @@ def default_magic(params: Params) -> int:
 
 def fork_range(a: int, b: int, params: Params) -> tuple[int, ...]:
     """All distances that close the fork (a, b) into an allowed triangle."""
-    _check_distance(a, params)
-    _check_distance(b, params)
+    _check_distance(a, params.delta)
+    _check_distance(b, params.delta)
     row = _triangle_table(params)[0][a][b]
     return tuple(x for x in range(1, params.delta + 1) if row[x] is None)
 
@@ -201,8 +201,8 @@ def fork_choice(a: int, b: int, magic: int, params: Params) -> int:
     """The completion the engine picks for the fork (a, b): the allowed
     distance nearest to magic (see ForkFamilies.choice)."""
     choice = fork_families(magic, params).choice
-    _check_distance(a, params)
-    _check_distance(b, params)
+    _check_distance(a, params.delta)
+    _check_distance(b, params.delta)
     return choice[(a, b)]
 
 
@@ -211,8 +211,7 @@ def time_function(x: int, magic: int, delta: int) -> int:
 
     The magic distance has no rank; it is filled in the final step.
     """
-    if not _is_positive_int(x) or x > delta:
-        raise RangeError(f"distance {x!r} outside 1..{delta}")
+    _check_distance(x, delta)
     if x == magic:
         raise RangeError("the magic distance has no rank; it is filled last")
     if x < magic:

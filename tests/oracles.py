@@ -16,7 +16,6 @@ from metric_completer import (
     Family,
     ObstacleCatalogue,
     Params,
-    PreconditionError,
     RangeError,
     TraceStep,
     TriangleStatus,
@@ -176,11 +175,9 @@ def complete_magic_oracle(
     """
     families = fork_families(magic, params)
     magic = families.magic
-    for (u, v), d in g.edges.items():
-        if d > params.delta:
-            raise PreconditionError(
-                f"edge ({u}, {v}) carries {d}, beyond delta={params.delta}"
-            )
+    top = max(g.edges.values(), default=1)
+    if top > params.delta:
+        raise RangeError(f"distance {top} outside 1..{params.delta}")
 
     initial = violations_oracle(g, params)
     if initial:

@@ -23,6 +23,7 @@ from metric_completer import (
     complete_magic,
     cycle_graph,
     magic_distances,
+    obstacle_trace,
     oracle_complete,
     oracle_completions,
     shortest_path_completion,
@@ -227,8 +228,26 @@ class TestCompleteMagic:
             complete_magic(EdgeLabelledGraph(10**8), PAR)
 
     def test_rejects_labels_beyond_delta(self):
-        with pytest.raises(PreconditionError):
-            complete_magic(EdgeLabelledGraph(2, [(0, 1, 7)]), PAR, 4)
+        for complete in (complete_magic, complete_magic_oracle):
+            with pytest.raises(RangeError, match="^distance 7 outside 1..6$"):
+                complete(EdgeLabelledGraph(2, [(0, 1, 7)]), PAR, 4)
+
+    def test_label_beyond_delta_above_the_bitset_threshold(self, monkeypatch):
+        # a tree of 40 vertices whose only 7 closes no triangle: the engine's
+        # input goes through the row scan, which refuses the label before
+        # anything is filled; the bitset check, which has no label check,
+        # never runs
+        def unused(*args):
+            raise AssertionError("the bitset check ran")
+
+        monkeypatch.setattr("metric_completer.graphs._bitset_check", unused)
+        n = 40
+        assert n > BITSET_MIN_VERTICES
+        tree = [(v - 1, v, 1 + v % 6) for v in range(1, n - 1)] + [(0, n - 1, 7)]
+        g = EdgeLabelledGraph(n, tree)
+        for call in (complete_magic, obstacle_trace):
+            with pytest.raises(RangeError, match="^distance 7 outside 1..6$"):
+                call(g, PAR)
 
     def test_deterministic(self):
         g = cycle_graph((1, 1, 6, 6, 5))
@@ -708,16 +727,23 @@ class TestOracle:
         assert _count_over_budget(2, 100, 2**100 - 1) == "2^100"
 
     def test_label_beyond_delta_is_a_range_error(self):
-        # the 7 sits in no complete triangle of the input; on 2 vertices it
-        # sits in none of the completion either, so only the label check
-        # up front can catch it
-        for g in (
-            EdgeLabelledGraph(3, [(0, 1, 7), (1, 2, 1)]),
-            EdgeLabelledGraph(2, [(0, 1, 7)]),
+        # the labels above 6 sit in no complete triangle of the input; on 2
+        # vertices in none of the completion either, so only the label check
+        # up front can catch them; it names the largest
+        for g, top in (
+            (EdgeLabelledGraph(3, [(0, 1, 7), (1, 2, 1)]), 7),
+            (EdgeLabelledGraph(2, [(0, 1, 7)]), 7),
+            (EdgeLabelledGraph(4, [(0, 1, 9), (1, 2, 1), (2, 3, 7)]), 9),
         ):
-            for complete in (oracle_complete, shortest_path_completion):
-                with pytest.raises(RangeError, match="distance 7 outside 1..6"):
-                    complete(g, PAR)
+            for call in (
+                violations,
+                complete_magic,
+                obstacle_trace,
+                oracle_complete,
+                shortest_path_completion,
+            ):
+                with pytest.raises(RangeError, match=f"^distance {top} outside 1..6$"):
+                    call(g, PAR)
 
 
 class TestSandwich:

@@ -274,8 +274,13 @@ class TestViolations:
             assert calls == ([res.trace.final_graph.matrix()] if on_bits else []), n
 
     def test_label_beyond_delta_in_a_triangle(self):
+        # violations refuses the 7 wherever it sits; the per-triangle oracle
+        # only where it closes a triangle
         g = EdgeLabelledGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (1, 3, 7)])
-        assert violations(g, PAR) == violations_oracle(g, PAR) == []
+        for open_seven in (g, EdgeLabelledGraph(2, [(0, 1, 7)])):
+            with pytest.raises(RangeError, match="^distance 7 outside 1..6$"):
+                violations(open_seven, PAR)
+            assert violations_oracle(open_seven, PAR) == []
         closed = EdgeLabelledGraph(3, [(0, 1, 1), (1, 2, 7), (0, 2, 6)])
         with pytest.raises(RangeError, match="distance 7 outside 1..6"):
             violations(closed, PAR)
@@ -283,10 +288,12 @@ class TestViolations:
             violations_oracle(closed, PAR)
 
     def test_label_beyond_delta_beside_forbidden_triangles(self):
-        # edge (0, 1) sees the 7 first, in no full triangle, then 1,3,5
+        # the 7 in no full triangle, beside 1,3,5: violations refuses the
+        # graph, the per-triangle oracle reports the forbidden triangle
         g = EdgeLabelledGraph(4, [(0, 1, 1), (0, 2, 7), (0, 3, 3), (1, 3, 5)])
-        found = violations(g, PAR)
-        assert found == violations_oracle(g, PAR)
+        with pytest.raises(RangeError, match="^distance 7 outside 1..6$"):
+            violations(g, PAR)
+        found = violations_oracle(g, PAR)
         assert [(v.vertices, v.distances) for v in found] == [((0, 1, 3), (1, 3, 5))]
         # a forbidden triangle first, then a closed one with the 7: it raises
         g = EdgeLabelledGraph(4, [(0, 1, 1), (0, 2, 3), (1, 2, 5), (0, 3, 2), (1, 3, 7)])

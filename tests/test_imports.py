@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every
 private name a library module defines is read by the library, no library
-module imports the test-only code, and the library imports nothing beyond
-the standard library and itself."""
+module imports the test-only code, the library imports nothing beyond the
+standard library and itself, and one function classifies triangles."""
 
 import ast
 import sys
@@ -202,3 +202,46 @@ def test_scan_flags_imports_beyond_stdlib():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_library_imports_only_stdlib(path):
     assert imports_beyond_stdlib(path.read_text()) == []
+
+
+def callers_of(sources: dict[str, str], name: str) -> list[str]:
+    """``module:function`` for each call of ``name`` in ``sources``, by
+    name or as an attribute, named after the innermost enclosing def;
+    a call outside any def is under ``<module>``."""
+    out = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                out.append(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, source in sorted(sources.items()):
+        visit(ast.parse(source), module, "<module>")
+    return out
+
+
+def test_scan_finds_every_caller():
+    sources = {
+        "a.py": (
+            "from .p import f\n"
+            "f(1)\n"
+            "def outer():\n"
+            "    def inner():\n"
+            "        return p.f(2)\n"
+            "    return [f(x) for x in g()]\n"
+        ),
+        "b.py": "def h():\n    return f\n",
+    }
+    assert callers_of(sources, "f") == ["a.py:<module>", "a.py:inner", "a.py:outer"]
+
+
+def test_triangles_are_classified_only_into_the_table():
+    # every other reader of "is this triangle allowed" goes through
+    # params._triangle_table, the one source of truth
+    assert callers_of(LIBRARY, "classify_triangle") == ["params.py:_triangle_table"]

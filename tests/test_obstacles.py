@@ -317,6 +317,14 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_obstacle_cycles(PAR, 6, budget=10)
 
+    def test_default_budget_matches_the_cli(self, monkeypatch):
+        # 6^9 = 10077696 sequences are within the default budget of 10**8,
+        # as with the CLI's --budget; the generator yields nothing here
+        monkeypatch.setattr(obstacles, "_canonical_cycles", lambda delta, size: iter(()))
+        assert enumerate_obstacle_cycles(PAR, 9).cycles == ()
+        with pytest.raises(CapacityError, match="^10077696 label sequences exceed the budget"):
+            enumerate_obstacle_cycles(PAR, 9, budget=10**7)
+
     @pytest.mark.slow
     def test_decider_agrees_with_oracle_everywhere(self):
         # engine-as-decider versus the exhaustive oracle, every acceptable
