@@ -25,6 +25,7 @@ from .errors import (
 )
 from .graphs import parse_graph
 from .obstacles import (
+    METHODS,
     enumerate_obstacle_cycles,
     format_catalogue,
     format_cycle_labels,
@@ -331,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_obst = subs.add_parser("obstacles", help="catalogue of non-completable cycles")
     _add_param_flags(p_obst, required=True)
     p_obst.add_argument("--n", type=int, required=True, help="cycle length")
-    p_obst.add_argument("--method", choices=("exhaustive", "substitution"),
-                        default="exhaustive")
+    p_obst.add_argument("--method", choices=METHODS, default="exhaustive")
     p_obst.add_argument("--verify", action="store_true",
                         help="cross-check the catalogue against the oracle")
     p_obst.add_argument("--budget", type=int, default=10**8,
-                        help="oracle assignment cap")
+                        help="oracle assignment cap, and cap on the "
+                             "delta^n label sequences the catalogue walks")
     p_obst.add_argument("--output", default=None, help="write the catalogue here")
     p_obst.set_defaults(func=cmd_obstacles)
 

@@ -4,7 +4,6 @@ exhaustive completion oracle for cross-checking both."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -31,17 +30,6 @@ class TraceStep(NamedTuple):
     fork: tuple[int, int] | None
     family: Family
 
-    def as_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "distance": self.distance,
-            "u": self.u,
-            "v": self.v,
-            "witness": self.witness,
-            "fork": list(self.fork) if self.fork is not None else None,
-            "family": self.family.value,
-        }
-
     def describe(self) -> str:
         if self.family is Family.FINAL:
             return f"final: ({self.u},{self.v}) = {self.distance}"
@@ -58,9 +46,6 @@ class TraceStep(NamedTuple):
 class CompletionTrace:
     steps: tuple[TraceStep, ...]
     final_graph: EdgeLabelledGraph
-
-    def as_json(self) -> str:
-        return json.dumps([step.as_dict() for step in self.steps])
 
 
 @dataclass(frozen=True)

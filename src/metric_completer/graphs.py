@@ -311,13 +311,20 @@ def find_homomorphism(source: EdgeLabelledGraph, target: EdgeLabelledGraph):
     return next(_distance_maps(source, target, embed=False), None)
 
 
-def automorphisms(g: EdgeLabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:
+# The most vertices automorphisms and partial_automorphisms search.
+MAX_AUTOMORPHISM_VERTICES = 9
+MAX_PARTIAL_AUTOMORPHISM_VERTICES = 5
+
+
+def automorphisms(g: EdgeLabelledGraph) -> list[tuple[int, ...]]:
     """All distance-preserving vertex bijections, in lexicographic order.
 
     Non-edges must map to non-edges, so this is exact for partial graphs too.
     """
-    if g.vertex_count > max_vertices:
-        raise CapacityError(f"automorphism search capped at {max_vertices} vertices")
+    if g.vertex_count > MAX_AUTOMORPHISM_VERTICES:
+        raise CapacityError(
+            f"automorphism search capped at {MAX_AUTOMORPHISM_VERTICES} vertices"
+        )
     return list(_distance_maps(g, g, embed=True))
 
 
@@ -337,15 +344,18 @@ def is_partial_automorphism(g: EdgeLabelledGraph, mapping: dict[int, int]) -> bo
     return True
 
 
-def partial_automorphisms(g: EdgeLabelledGraph, max_vertices: int = 5):
+def partial_automorphisms(g: EdgeLabelledGraph):
     """Every partial automorphism, ordered by domain and then by images.
 
     Each domain's maps are the embeddings of its induced subgraph into ``g``.
     Includes the empty map and all singleton maps.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise CapacityError(f"partial automorphism search capped at {max_vertices} vertices")
+    if n > MAX_PARTIAL_AUTOMORPHISM_VERTICES:
+        raise CapacityError(
+            "partial automorphism search capped at "
+            f"{MAX_PARTIAL_AUTOMORPHISM_VERTICES} vertices"
+        )
     return [
         dict(zip(dom, images))
         for size in range(n + 1)
@@ -371,8 +381,6 @@ def verify_eppa_witness(
     small: EdgeLabelledGraph,
     big: EdgeLabelledGraph,
     inclusion=None,
-    max_small: int = 5,
-    max_big: int = 9,
 ) -> EppaReport:
     """Check that every partial automorphism of ``small`` extends to a full
     automorphism of ``big``.
@@ -395,9 +403,9 @@ def verify_eppa_witness(
         if small.distance(x, y) != big.distance(inclusion[x], inclusion[y]):
             raise PreconditionError("subgraph is not induced under the inclusion map")
 
-    auts = automorphisms(big, max_vertices=max_big)
+    auts = automorphisms(big)
     checked = 0
-    for pmap in partial_automorphisms(small, max_vertices=max_small):
+    for pmap in partial_automorphisms(small):
         checked += 1
         wanted = [(inclusion[x], inclusion[fx]) for x, fx in sorted(pmap.items())]
         if not any(all(aut[src] == dst for src, dst in wanted) for aut in auts):

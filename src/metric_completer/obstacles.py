@@ -115,12 +115,44 @@ def obstacle_trace(
     )
 
 
+# The ways enumerate_obstacle_cycles builds a catalogue.
+METHODS = ("exhaustive", "substitution")
+
+
 @dataclass(frozen=True)
 class ObstacleCatalogue:
+    """Non-completable cycles of one size, canonical and ascending.  Checked
+    once, when built; a check that fails raises FormatError."""
+
     params: Params
     size: int
     method: str
-    cycles: tuple[tuple[int, ...], ...]  # canonical, ascending
+    cycles: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        size, delta = self.size, self.params.delta
+        if type(size) is not int:
+            raise FormatError(f"catalogue size {size!r} is not an integer")
+        if size < 3:
+            raise FormatError(f"catalogue size {size} is below 3")
+        if self.method not in METHODS:
+            raise FormatError(f"unknown method {self.method!r}")
+        if type(self.cycles) is not tuple:
+            raise FormatError("catalogue entries must be a tuple")
+        for cyc in self.cycles:
+            if type(cyc) is not tuple or not all(type(x) is int for x in cyc):
+                raise FormatError(f"entry {cyc!r} is not a tuple of ints")
+            if len(cyc) != size:
+                problem = f"does not have {size} labels"
+            elif not all(1 <= x <= delta for x in cyc):
+                problem = f"has a label outside 1..{delta}"
+            elif canonical_cycle(cyc) != cyc:
+                problem = "is not in canonical form"
+            else:
+                continue
+            raise FormatError(f"cycle {format_cycle_labels(cyc)!r} {problem}")
+        if any(a >= b for a, b in zip(self.cycles, self.cycles[1:])):
+            raise FormatError("catalogue entries must be ascending and distinct")
 
 
 def _canonical_cycles(delta: int, size: int):
@@ -276,7 +308,7 @@ def enumerate_obstacle_cycles(
     magic = fork_families(magic, params).magic
     if size < 3:
         raise RangeError("cycles need at least 3 edges")
-    if method not in ("exhaustive", "substitution"):
+    if method not in METHODS:
         raise FormatError(f"unknown method {method!r}")
     count = _count_over_budget(params.delta, size, budget)
     if count is not None:
@@ -284,7 +316,7 @@ def enumerate_obstacle_cycles(
 
     if method == "exhaustive":
         found = _refused(_canonical_cycles(params.delta, size), params, magic)
-        return ObstacleCatalogue(params, size, method, tuple(sorted(found)))
+        return ObstacleCatalogue(params, size, method, tuple(found))
 
     current = _refused(_canonical_cycles(params.delta, 3), params, magic)
     for _ in range(3, size):
@@ -329,16 +361,7 @@ def _sample_non_entries(catalogue: ObstacleCatalogue) -> list[tuple[int, ...]]:
     stops after the last of them, picks the sequences out.
     """
     delta, size = catalogue.params.delta, catalogue.size
-    if size < 3:
-        raise RangeError("a cycle needs at least 3 labels")
-    # only the canonical entries of this size are in the walk
-    entries = {
-        cyc
-        for cyc in catalogue.cycles
-        if len(cyc) == size
-        and all(1 <= x <= delta for x in cyc)
-        and canonical_cycle(cyc) == cyc
-    }
+    entries = set(catalogue.cycles)
     total = _canonical_cycle_count(delta, size) - len(entries)
     if total > _SAMPLE_SIZE:
         positions = random.Random(_SAMPLE_SEED).sample(range(total), _SAMPLE_SIZE)
@@ -359,16 +382,12 @@ def verify_catalogue(catalogue: ObstacleCatalogue, budget: int = 10**8) -> Catal
     _SAMPLE_SIZE same-length canonical non-entries must complete.  The
     non-entries are drawn from every label sequence of the catalogue's size,
     so a size whose delta**size sequences exceed ``budget`` raises
-    CapacityError before any search.  An entry whose length is not the size
-    raises FormatError, also before any search.
+    CapacityError before any search.
     """
     params = catalogue.params
     count = _count_over_budget(params.delta, catalogue.size, budget)
     if count is not None:
         raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
-    for cyc in catalogue.cycles:
-        if len(cyc) != catalogue.size:
-            raise FormatError(f"entry {cyc} does not have {catalogue.size} labels")
     for cyc in catalogue.cycles:
         if oracle_complete(cycle_graph(cyc), params, budget) is not None:
             return CatalogueReport(
@@ -415,7 +434,7 @@ def format_catalogue(catalogue: ObstacleCatalogue) -> str:
 
 
 def parse_catalogue(text: str) -> ObstacleCatalogue:
-    """Parse the catalogue format, insisting on canonical, ascending entries."""
+    """Parse the catalogue format; the catalogue checks its own entries."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty catalogue")
@@ -426,21 +445,5 @@ def parse_catalogue(text: str) -> ObstacleCatalogue:
         delta, k, c, size = (int(x) for x in header[1:5])
     except ValueError:
         raise FormatError("non-integer field in catalogue header")
-    if size < 3:
-        raise FormatError(f"catalogue size {size} is below 3")
-    method = header[5]
-    if method not in ("exhaustive", "substitution"):
-        raise FormatError(f"unknown method {method!r}")
-    cycles = []
-    for line in lines[1:]:
-        cyc = parse_cycle_labels(line)
-        if len(cyc) != size:
-            raise FormatError(f"cycle {line!r} does not have {size} labels")
-        if not all(1 <= x <= delta for x in cyc):
-            raise FormatError(f"cycle {line!r} has a label outside 1..{delta}")
-        if canonical_cycle(cyc) != cyc:
-            raise FormatError(f"cycle {line!r} is not in canonical form")
-        cycles.append(cyc)
-    if cycles != sorted(cycles) or len(set(cycles)) != len(cycles):
-        raise FormatError("catalogue entries must be ascending and distinct")
-    return ObstacleCatalogue(Params(delta, k, c), size, method, tuple(cycles))
+    cycles = tuple(map(parse_cycle_labels, lines[1:]))
+    return ObstacleCatalogue(Params(delta, k, c), size, header[5], cycles)

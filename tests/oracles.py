@@ -230,7 +230,18 @@ def complete_json_oracle(params: Params, magic: int, result: CompletionResult) -
         "params": {"delta": params.delta, "k": params.k, "c": params.c},
         "magic": magic,
         "status": result.status.value,
-        "steps": [step.as_dict() for step in result.trace.steps],
+        "steps": [
+            {
+                "rank": step.rank,
+                "distance": step.distance,
+                "u": step.u,
+                "v": step.v,
+                "witness": step.witness,
+                "fork": list(step.fork) if step.fork is not None else None,
+                "family": step.family.value,
+            }
+            for step in result.trace.steps
+        ],
         "edges": [[u, v, d] for (u, v), d in sorted(result.trace.final_graph.edges.items())],
         "violations": [
             {

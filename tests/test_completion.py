@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metric_completer import cli
 from metric_completer import (
     CapacityError,
     CompletionStatus,
@@ -286,7 +287,7 @@ class TestCompleteMagic:
 
     def test_json_trace(self):
         res = complete_magic(fork_input(1, 1), PAR, 4)
-        steps = json.loads(res.trace.as_json())
+        steps = json.loads("".join(cli._complete_json(PAR, 4, res)))["steps"]
         assert steps == [
             {
                 "rank": 3,
@@ -334,9 +335,11 @@ class TestTraceStep:
             ),
         ]
         for step, tail, text in cases:
+            # the step's record as the JSON writer renders it
+            record = json.loads(cli._json_steps(",", [step]))
             head = dict(zip(self.FIELDS[:4], step[:4]))
-            assert step.as_dict() == {**head, **tail}
-            assert list(step.as_dict()) == list(self.FIELDS)
+            assert record == {**head, **tail}
+            assert list(record) == list(self.FIELDS)
             assert step.describe() == text
 
     def test_fields_cannot_be_assigned(self):

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private name a library module defines is read by the library, no library
 module imports the test-only code, the library imports nothing beyond the
-standard library and itself, and one function classifies triangles."""
+standard library and itself, one function classifies triangles, and a
+catalogue's entries are checked only where it is built."""
 
 import ast
 import sys
@@ -245,3 +246,14 @@ def test_triangles_are_classified_only_into_the_table():
     # every other reader of "is this triangle allowed" goes through
     # params._triangle_table, the one source of truth
     assert callers_of(LIBRARY, "classify_triangle") == ["params.py:_triangle_table"]
+
+
+def test_catalogue_entries_are_canonicalized_only_where_built():
+    # ObstacleCatalogue checks its entries once, when built; the parser, the
+    # verifier and the sampler rely on that.  The other callers read an
+    # obstacle off a back-trace and canonicalize substitution candidates
+    assert callers_of(LIBRARY, "canonical_cycle") == [
+        "obstacles.py:cycle_labels",
+        "obstacles.py:__post_init__",
+        "obstacles.py:enumerate_obstacle_cycles",
+    ]

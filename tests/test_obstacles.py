@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metric_completer import completion, graphs, obstacles
 from metric_completer import (
@@ -491,35 +492,51 @@ class TestCycleDecider:
                     assert decider_mismatches(cycles, par, magic) == [], (par, magic)
 
 
+CANONICAL_5 = list(obstacles._canonical_cycles(6, 5))
+ROTATED_5 = [cyc[1:] + cyc[:1] for cyc in CYCLES_5]
+
+
 def sample_cases():
     """Catalogues for the non-entry sampler: real ones, and hand-built ones
-    with duplicates, rotations, labels out of range, other lengths, and so
-    many entries that at most _SAMPLE_SIZE non-entries remain."""
+    with so many entries that at most _SAMPLE_SIZE non-entries remain."""
     cases = [
         enumerate_obstacle_cycles(par, size)
         for par in (PAR, Params(4, 1, 11), Params(3, 1, 8), Params(2, 1, 6))
         for size in (3, 4, 5, 6)
     ]
-    cycles_5 = list(obstacles._canonical_cycles(6, 5))
-    rotated = [cyc[1:] + cyc[:1] for cyc in CYCLES_5]
     cases += [
         ObstacleCatalogue(PAR, 5, "exhaustive", ()),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CYCLES_5 + CYCLES_5[:4])),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(rotated + CYCLES_5[::2])),
-        ObstacleCatalogue(
-            PAR, 5, "exhaustive", ((1, 1, 1, 1, 7), (0, 1, 1, 1, 1), (1, 1, 6)) + tuple(CYCLES_5)
-        ),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-7])),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[7:] + cycles_5[:3])),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-20])),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-21])),
-        # 21 non-entries, but fewer once duplicates or rotations were counted
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-21] + cycles_5[:3])),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5[:-21] + rotated)),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5)),
-        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles_5 + cycles_5[:1])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5[:-7])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5[:-20])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5[:-21])),
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5)),
     ]
     return cases
+
+
+# hand-built 5-cycle entries at PAR that no catalogue holds, with the check
+# that refuses each first
+MALFORMED = {
+    "duplicates": (CYCLES_5 + CYCLES_5[:4], "^catalogue entries must be ascending and distinct$"),
+    "rotations": (ROTATED_5 + CYCLES_5[::2], "^cycle '11151' is not in canonical form$"),
+    "labels-and-lengths": (
+        [(1, 1, 1, 1, 7), (0, 1, 1, 1, 1), (1, 1, 6)] + CYCLES_5,
+        r"^cycle '11117' has a label outside 1\.\.6$",
+    ),
+    "out-of-order": (
+        CANONICAL_5[7:] + CANONICAL_5[:3],
+        "^catalogue entries must be ascending and distinct$",
+    ),
+    "out-of-order-tail": (
+        CANONICAL_5[:-21] + CANONICAL_5[:3],
+        "^catalogue entries must be ascending and distinct$",
+    ),
+    "rotated-tail": (CANONICAL_5[:-21] + ROTATED_5, "^cycle '11151' is not in canonical form$"),
+    "duplicate-tail": (
+        CANONICAL_5 + CANONICAL_5[:1],
+        "^catalogue entries must be ascending and distinct$",
+    ),
+}
 
 
 class TestVerifyCatalogue:
@@ -544,7 +561,7 @@ class TestVerifyCatalogue:
 
     def test_completable_entry_is_flagged(self):
         good = enumerate_obstacle_cycles(PAR, 5)
-        bad = ObstacleCatalogue(PAR, 5, "exhaustive", good.cycles + ((1, 1, 1, 1, 1),))
+        bad = ObstacleCatalogue(PAR, 5, "exhaustive", ((1, 1, 1, 1, 1),) + good.cycles)
         report = verify_catalogue(bad)
         assert not report.ok
         assert "(1, 1, 1, 1, 1)" in report.failure
@@ -584,11 +601,11 @@ class TestVerifyCatalogue:
 
     @pytest.mark.parametrize("size", [2, 1, 0, -1])
     def test_size_below_three_is_refused(self, size):
-        with pytest.raises(RangeError, match="^a cycle needs at least 3 labels$"):
-            verify_catalogue(ObstacleCatalogue(PAR, size, "exhaustive", ()))
+        with pytest.raises(FormatError, match=f"^catalogue size {size} is below 3$"):
+            ObstacleCatalogue(PAR, size, "exhaustive", ())
 
     def test_entries_of_another_length_are_refused(self, monkeypatch):
-        # a triangle among the 5-cycles, and a 7-cycle: refused before any search
+        # a triangle among the 5-cycles, and a 7-cycle: refused when built
         def no_search(*args):
             raise AssertionError("searched before the entries were checked")
 
@@ -596,10 +613,10 @@ class TestVerifyCatalogue:
         monkeypatch.setattr(obstacles, "oracle_complete", no_search)
         monkeypatch.setattr(obstacles, "_canonical_cycles", no_search)
         for entry in ((1, 1, 6), (1, 1, 1, 1, 1, 1, 6)):
-            catalogue = ObstacleCatalogue(PAR, 5, "exhaustive", (entry,) + real)
             with pytest.raises(FormatError) as caught:
-                verify_catalogue(catalogue)
-            assert str(caught.value) == f"entry {entry} does not have 5 labels"
+                ObstacleCatalogue(PAR, 5, "exhaustive", (entry,) + real)
+            label = format_cycle_labels(entry)
+            assert str(caught.value) == f"cycle {label!r} does not have 5 labels"
 
     def test_oversized_catalogue_is_refused_at_once(self, monkeypatch):
         # 6**12 sequences to sample from: refused before any search starts
@@ -614,6 +631,74 @@ class TestVerifyCatalogue:
             match="^2176782336 label sequences exceed the budget of 100000000$",
         ):
             verify_catalogue(catalogue)
+
+
+class TestCatalogueChecks:
+    """A catalogue checks its entries when built, so every one that exists
+    is valid."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_entries_are_refused(self, case):
+        cycles, message = MALFORMED[case]
+        with pytest.raises(FormatError, match=message):
+            ObstacleCatalogue(PAR, 5, "exhaustive", tuple(cycles))
+
+    @pytest.mark.parametrize("size", [5.0, "5", None])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(FormatError, match=f"^catalogue size {size!r} is not an integer$"):
+            ObstacleCatalogue(PAR, size, "exhaustive", ())
+
+    def test_entries_must_be_tuples_of_ints(self):
+        # a list would not equal the parsed catalogue, and True is no label
+        with pytest.raises(FormatError, match="^catalogue entries must be a tuple$"):
+            ObstacleCatalogue(PAR, 5, "exhaustive", [(1, 1, 1, 1, 5)])
+        for entry in ([1, 1, 1, 1, 5], (1, 1, 1, 1, "5"), (True, 1, 1, 1, 5), (1, 1, 1, 1, 5.0)):
+            with pytest.raises(FormatError, match=" is not a tuple of ints$"):
+                ObstacleCatalogue(PAR, 5, "exhaustive", (entry,))
+
+    def test_rotation_of_an_obstacle_is_refused(self):
+        # 1333 is an obstacle at (3, 1, 8); its rotation 3331 is no entry
+        par = Params(3, 1, 8)
+        assert (1, 3, 3, 3) in enumerate_obstacle_cycles(par, 4).cycles
+        with pytest.raises(FormatError, match="^cycle '3331' is not in canonical form$"):
+            ObstacleCatalogue(par, 4, "exhaustive", ((3, 3, 3, 1),))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_every_catalogue_round_trips(self, data):
+        # sizes of any type, unknown methods, and entries of another length,
+        # with a label in -1..8, turned, repeated or in any order; most draws
+        # are clean, so that many catalogues are built
+        draw = data.draw
+        par = draw(st.sampled_from([PAR, Params(3, 1, 8), Params(10, 1, 22)]))
+        length = draw(st.integers(3, 6))
+        size = length
+        if not draw(st.integers(0, 3)):
+            size = draw(
+                st.integers(-1, 7) | st.floats(-1, 7) | st.text("0123456789", max_size=2)
+            )
+        method = (obstacles.METHODS * 4 + ("wat", ""))[draw(st.integers(0, 9))]
+        entries = []
+        for _ in range(draw(st.integers(0, 4))):
+            flaw = (("",) * 7 + ("length", "label", "turn"))[draw(st.integers(0, 9))]
+            n = length + draw(st.sampled_from([-1, 1])) if flaw == "length" else length
+            seq = draw(st.lists(st.integers(1, par.delta), min_size=n, max_size=n))
+            if flaw == "label":
+                seq[draw(st.integers(0, n - 1))] = draw(st.integers(-1, 8))
+            seq = canonical_cycle(seq) if n >= 3 else tuple(seq)
+            if flaw == "turn":
+                turn = draw(st.integers(1, n - 1))
+                seq = seq[turn:] + seq[:turn]
+            entries.append(seq)
+        if draw(st.integers(0, 3)):
+            entries.sort()
+        if entries and not draw(st.integers(0, 3)):
+            entries.append(draw(st.sampled_from(entries)))
+        try:
+            cat = ObstacleCatalogue(par, size, method, tuple(entries))
+        except FormatError:
+            return
+        assert parse_catalogue(format_catalogue(cat)) == cat
 
 
 class TestCatalogueFormat:
