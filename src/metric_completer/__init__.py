@@ -27,6 +27,7 @@ from .graphs import (
     EdgeLabelledGraph,
     EppaReport,
     TriangleViolation,
+    ViolationView,
     automorphisms,
     build_graph,
     canonical_cycle,

@@ -13,9 +13,9 @@ import functools
 import itertools
 import sys
 from contextlib import nullcontext
-from operator import itemgetter
+from operator import add, itemgetter
 
-from .completion import CompletionStatus, complete_magic
+from .completion import CompletionStatus, Family, complete_magic
 from .errors import (
     CapacityError,
     FormatError,
@@ -101,12 +101,37 @@ def cmd_forks(args) -> int:
     return EXIT_OK
 
 
-def _complete_text(params, magic, result) -> list[str]:
-    lines = [f"params delta={params.delta} k={params.k} c={params.c} M={magic}"]
-    lines.extend(step.describe() for step in result.trace.steps)
-    lines.append(result.status.value)
-    lines.extend("violation: " + v.describe() for v in result.violations)
-    return lines
+# Records or lines per chunk of output: large enough that writes cost little,
+# small enough that a chunk stays far below the whole payload.
+_JSON_CHUNK = 4096
+
+
+def _lines(lines):
+    """Yield ``lines`` joined by newlines, at most _JSON_CHUNK at a time."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _JSON_CHUNK)):
+        yield "\n".join(chunk)
+
+
+def _numerals(trace, params):
+    """The decimal text of each vertex and label of ``trace`` by number, for
+    the writers to look up instead of formatting each number again."""
+    return list(map(str, range(max(trace.vertex_count, params.delta + 1)))).__getitem__
+
+
+def _complete_text(params, magic, result):
+    """Yield the text of ``complete`` as chunks of whole lines, each joined
+    by newlines, so that the whole text is never held at once."""
+    trace = result.trace
+    yield f"params delta={params.delta} k={params.k} c={params.c} M={magic}"
+    yield from _lines(step.describe() for step in trace.listed_steps)
+    numeral = _numerals(trace, params)
+    for _, distance, u, vs in trace.final_rows():
+        # TraceStep.describe() of each magic-filled step of the row
+        head, tail = f"final: ({u},", f") = {distance}"
+        yield head + (tail + "\n" + head).join(map(numeral, vs)) + tail
+    yield result.status.value
+    yield from _lines("violation: " + v.describe() for v in result.violations)
 
 
 # The JSON payload of `complete`, written from string templates in the layout
@@ -139,6 +164,7 @@ _JSON_STEP_HEAD, _JSON_STEP_TAIL = _JSON_STEP.split('"v": %d')
 _JSON_STEP_HEAD += '"v": '
 _ALL_BUT_V = itemgetter(0, 1, 2, 4, 5, 6)
 _V = itemgetter(3)
+_JSON_FINAL_TAIL = _JSON_STEP_TAIL % ("null", "null", Family.FINAL.value)
 _JSON_FORK = """\
 [
         %d,
@@ -150,89 +176,119 @@ _JSON_EDGE = """\
       %d,
       %d
     ]"""
+# _JSON_EDGE split around its values: a row's records share the text up to
+# v, and a label's records the text from the comma before d
+_JSON_EDGE_OPEN, _JSON_EDGE_U, _JSON_EDGE_V, _JSON_EDGE_CLOSE = _JSON_EDGE.split("%d")
 _JSON_VIOLATION = """\
 {
-      "vertices": %s,
-      "distances": %s,
+      "vertices": [
+        %d,
+        %d,
+        %d
+      ],
+      "distances": [
+        %d,
+        %d,
+        %d
+      ],
       "status": "%s"
     }"""
 
-# Records per chunk of _json_list: large enough that writes cost little,
-# small enough that a chunk stays far below the whole payload.
-_JSON_CHUNK = 4096
+def _json_list(runs, depth: int):
+    """Yield a JSON list that sits ``depth`` levels deep, in chunks of at
+    most _JSON_CHUNK records.
 
-
-def _json_list(items, depth: int, render=str.join):
-    """Yield ``items`` as a JSON list that sits ``depth`` levels deep, in
-    chunks of at most _JSON_CHUNK records.
-
-    ``render(sep, chunk)`` writes a chunk of items as their records joined by
-    ``sep``; the default takes the items to be rendered records already.
+    ``runs`` yields ``(head, tail, values)``: one record ``head + value +
+    tail`` per string in ``values``.  A run is written with one join per
+    chunk, and split where a chunk fills.
     """
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
-    items = iter(items)
-    chunk = list(itertools.islice(items, _JSON_CHUNK))
-    if not chunk:
+    lead = "[" + inner  # what the next chunk starts with
+    parts, room = [], _JSON_CHUNK  # per slice of a run: sep, head, records, tail
+    for head, tail, values in runs:
+        values = iter(values)
+        joint = tail + sep + head
+        while take := list(itertools.islice(values, room)):
+            parts += (sep, head, joint.join(take), tail)
+            room -= len(take)
+            if not room:
+                parts[0] = lead
+                yield "".join(parts)
+                lead, parts, room = sep, [], _JSON_CHUNK
+    if parts:
+        parts[0] = lead
+        yield "".join(parts)
+    elif lead != sep:
         yield "[]"
         return
-    yield "[" + inner + render(sep, chunk)
-    while chunk := list(itertools.islice(items, _JSON_CHUNK)):
-        yield sep + render(sep, chunk)
     yield "\n" + "  " * depth + "]"
 
 
-def _json_steps(sep: str, steps) -> str:
-    """Trace steps as records joined by ``sep``.  A run of steps that differ
-    only in v, such as the magic-filled pairs of one row, is written with one
-    join over its v values."""
-    runs = []
+def _json_steps(trace, numeral):
+    """The runs of _json_list for the trace's steps: each run of listed
+    steps that differ only in v, then each row of magic-filled steps; each
+    v is written by ``numeral``."""
     for (rank, distance, u, witness, fork, family), run in itertools.groupby(
-        steps, _ALL_BUT_V
+        trace.listed_steps, _ALL_BUT_V
     ):
-        head = _JSON_STEP_HEAD % (rank, distance, u)
         tail = _JSON_STEP_TAIL % (
             "null" if witness is None else witness,
             "null" if fork is None else _JSON_FORK % fork,
             family.value,
         )
-        runs.append(head + (tail + sep + head).join(map(str, map(_V, run))) + tail)
-    return sep.join(runs)
+        yield _JSON_STEP_HEAD % (rank, distance, u), tail, map(numeral, map(_V, run))
+    for rank, distance, u, vs in trace.final_rows():
+        yield _JSON_STEP_HEAD % (rank, distance, u), _JSON_FINAL_TAIL, map(numeral, vs)
 
 
 def _complete_json(params, magic, result):
     """Yield the JSON payload of ``complete`` in chunks, so that the whole
     text is never held at once."""
+    trace = result.trace
     yield _JSON_HEAD % (params.delta, params.k, params.c, magic, result.status.value)
-    yield from _json_list(result.trace.steps, 1, _json_steps)
+    numeral = _numerals(trace, params)
+    yield from _json_list(_json_steps(trace, numeral), 1)
     yield ',\n  "edges": '
+    label = [_JSON_EDGE_V + numeral(d) + _JSON_EDGE_CLOSE for d in range(params.delta + 1)]
     yield from _json_list((
-        _JSON_EDGE % (u, v, d)
-        for (u, v), d in sorted(result.trace.final_graph.edges.items())
+        (
+            _JSON_EDGE_OPEN + numeral(u) + _JSON_EDGE_U,
+            "",
+            map(add, map(numeral, vs), map(label.__getitem__, ds)),
+        )
+        for u, vs, ds in trace.edge_rows()
     ), 1)
     yield ',\n  "violations": '
-    yield from _json_list((
-        _JSON_VIOLATION % (
-            "".join(_json_list([str(x) for x in v.vertices], 3)),
-            "".join(_json_list([str(x) for x in v.distances], 3)),
-            v.status.value,
-        )
+    yield from _json_list([("", "", (
+        _JSON_VIOLATION % (*v.vertices, *v.distances, v.status.value)
         for v in result.violations
-    ), 1)
+    ))], 1)
     yield "\n}"
 
 
-def _complete_dot(result) -> list[str]:
-    inserted = {(s.u, s.v): s for s in result.trace.steps}
-    lines = ["graph completion {"]
-    for (u, v), d in sorted(result.trace.final_graph.edges.items()):
-        step = inserted.get((u, v))
-        if step is None:
-            lines.append(f"  {u} -- {v} [label={d}];")
-        else:
-            lines.append(f"  {u} -- {v} [label={d}, rank={step.rank}, style=dashed];")
-    lines.append("}")
-    return lines
+def _complete_dot(result):
+    """Yield the dot text of ``complete`` as chunks of whole lines, each
+    joined by newlines, one chunk per row of edges."""
+    trace = result.trace
+    ranks = {(s.u, s.v): s.rank for s in trace.listed_steps}
+    fills = trace.final_rows()
+    fill = next(fills, None)
+    yield "graph completion {"
+    for u, vs, ds in trace.edge_rows():
+        filled, final_rank = (), None
+        if fill is not None and fill[2] == u:
+            final_rank, filled = fill[0], set(fill[3])
+            fill = next(fills, None)
+        lines = []
+        for v, d in zip(vs, ds):
+            rank = final_rank if v in filled else ranks.get((u, v))
+            if rank is None:
+                lines.append(f"  {u} -- {v} [label={d}];")
+            else:
+                lines.append(f"  {u} -- {v} [label={d}, rank={rank}, style=dashed];")
+        yield "\n".join(lines)
+    yield "}"
 
 
 def cmd_complete(args) -> int:
@@ -244,9 +300,10 @@ def cmd_complete(args) -> int:
         sys.stdout.writelines(_complete_json(params, magic, result))
         sys.stdout.write("\n")
     elif args.format == "dot":
-        print("\n".join(_complete_dot(result)))
+        sys.stdout.writelines(chunk + "\n" for chunk in _complete_dot(result))
     else:
-        print("\n".join(_complete_text(params, magic, result)))
+        lines = _complete_text(params, magic, result)
+        sys.stdout.writelines(chunk + "\n" for chunk in lines)
     if result.status is CompletionStatus.COMPLETED:
         return EXIT_OK
     return EXIT_FAILED

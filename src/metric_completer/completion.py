@@ -4,6 +4,7 @@ exhaustive completion oracle for cross-checking both."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -20,7 +21,7 @@ class CompletionStatus(Enum):
 
 class TraceStep(NamedTuple):
     """One inserted distance.  A tuple of its fields, so a step equals the
-    plain tuple of the same values; the engine builds it with tuple.__new__."""
+    plain tuple of the same values; CompletionTrace builds it with tuple.__new__."""
 
     rank: int
     distance: int
@@ -42,17 +43,136 @@ class TraceStep(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
+
+
 class CompletionTrace:
-    steps: tuple[TraceStep, ...]
-    final_graph: EdgeLabelledGraph
+    """The steps a completion inserted, in order, and the graph it finished.
+
+    ``CompletionTrace(steps, final_graph)`` keeps plain values.  complete_magic
+    keeps its columns instead (_columns): its rank steps as flat ints, seven
+    per step; the per-row bitsets of the pairs still open after the last
+    rank, which then took the magic distance in row-major order; and the
+    final distance matrix.  ``steps`` and ``final_graph`` are built from them
+    on first access, equal, and in the same order, to what the plain form
+    holds.  The writers read either form through listed_steps, final_rows(),
+    edge_rows() and vertex_count, and the back-trace through distance(),
+    none of which builds the whole of ``steps`` or ``final_graph``.
+    """
+
+    __slots__ = ("_flat", "_tags", "_listed", "_fill", "_dist", "_steps", "_graph")
+
+    def __init__(self, steps, final_graph: EdgeLabelledGraph):
+        self._steps = self._listed = tuple(steps)
+        self._graph = final_graph
+        self._flat = self._tags = self._fill = self._dist = None
+
+    @classmethod
+    def _columns(cls, flat, tags, rank, magic, opened, dist):
+        """complete_magic's trace: ``flat`` holds (rank, distance, u, v,
+        witness, a, b) per rank step, whose family is ``tags[(a, b)]``;
+        bit v of ``opened[u]`` is set for each pair (u, v) that took ``magic``
+        at ``rank``; ``dist`` is the complete final matrix.  Nobody may change
+        them afterwards."""
+        trace = object.__new__(cls)
+        trace._flat, trace._tags = flat, tags
+        trace._fill = (rank, magic, opened)
+        trace._dist = dist
+        trace._listed = trace._steps = trace._graph = None
+        return trace
+
+    @property
+    def listed_steps(self) -> tuple[TraceStep, ...]:
+        """The steps kept one by one: all of a plain trace's, and the rank
+        steps of complete_magic's, which come before its magic-filled ones."""
+        if self._listed is None:
+            new, tags = tuple.__new__, self._tags
+            self._listed = tuple(
+                new(TraceStep, (rank, x, u, v, w, (a, b), tags[(a, b)]))
+                for rank, x, u, v, w, a, b in zip(*[iter(self._flat)] * 7)
+            )
+        return self._listed
+
+    def final_rows(self):
+        """Yield ``(rank, distance, u, vs)`` for each row u of the
+        magic-filled pairs (u, v) that follow listed_steps, ``vs`` ascending;
+        a plain trace has none."""
+        if self._fill is None:
+            return
+        rank, magic, opened = self._fill
+        for u, bits in enumerate(opened):
+            if bits:
+                # bin() lists bit 0 last; reversed, byte v is 1 when bit v is
+                flags = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
+                yield rank, magic, u, list(itertools.compress(itertools.count(), flags))
+
+    def edge_rows(self):
+        """Yield ``(u, vs, ds)`` for each vertex u with an edge (u, v) of
+        final_graph with v > u: the edges (u, vs[i], ds[i]) in sorted order."""
+        dist = self._matrix()
+        n = len(dist)
+        for u, row in enumerate(dist):
+            vs, ds = range(u + 1, n), row[u + 1:]
+            if 0 in ds:  # the non-edges of a partial graph
+                vs = [v for v, d in zip(vs, ds) if d]
+                ds = [d for d in ds if d]
+            if ds:
+                yield u, vs, ds
+
+    def distance(self, u: int, v: int) -> int | None:
+        """final_graph.distance(u, v), read without building final_graph."""
+        d = self._matrix()[u][v]
+        return d if d or u == v else None
+
+    @property
+    def vertex_count(self) -> int:
+        """final_graph.vertex_count, read without building final_graph."""
+        return len(self._matrix())
+
+    def _matrix(self) -> list[list[int]]:
+        if self._dist is None:
+            self._dist = self._graph.matrix()
+        return self._dist
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        if self._steps is None:
+            new, final = tuple.__new__, Family.FINAL
+            self._steps = self.listed_steps + tuple(
+                new(TraceStep, (rank, magic, u, v, None, None, final))
+                for rank, magic, u, vs in self.final_rows()
+                for v in vs
+            )
+        return self._steps
+
+    @property
+    def final_graph(self) -> EdgeLabelledGraph:
+        if self._graph is None:
+            dist = self._dist
+            edges = {}
+            for pair in itertools.combinations(range(len(dist)), 2):
+                u, v = pair
+                edges[pair] = dist[u][v]
+            self._graph = EdgeLabelledGraph._trusted(len(dist), edges)
+        return self._graph
+
+    def __eq__(self, other):
+        if not isinstance(other, CompletionTrace):
+            return NotImplemented
+        return self.steps == other.steps and self.final_graph == other.final_graph
+
+    def __hash__(self):
+        return hash((self.steps, self.final_graph))
+
+    def __repr__(self):
+        return f"CompletionTrace(steps={self.steps!r}, final_graph={self.final_graph!r})"
 
 
 @dataclass(frozen=True)
 class CompletionResult:
     status: CompletionStatus
     trace: CompletionTrace
-    violations: tuple[TriangleViolation, ...]
+    violations: Sequence[TriangleViolation]  # a ViolationView from the library
 
 
 MAX_VERTICES = 1000
@@ -82,6 +202,11 @@ def complete_magic(
     ``N[a][u] & N[b][v]``.  No fork of a family has the family's distance as
     an arm, so a pair filled earlier in the rank is never a witness, and
     ``N[x]`` is updated in place.
+
+    The result keeps what the engine computed: its trace holds the columns
+    (see CompletionTrace), and its violations are a ViolationView over the
+    final matrix and these bitsets, which scans only up to the first
+    forbidden triangle to decide the status.
     """
     families = fork_families(magic, params)
     magic = families.magic
@@ -92,9 +217,7 @@ def complete_magic(
     dist = g.matrix()
     initial = violations(g, params, dist)
     if initial:
-        return CompletionResult(
-            CompletionStatus.FAILED, CompletionTrace((), g), tuple(initial)
-        )
+        return CompletionResult(CompletionStatus.FAILED, CompletionTrace((), g), initial)
 
     N = [[0] * n for _ in range(params.delta + 1)]
     opened = N[0] = [((1 << n) - 1) ^ ((2 << u) - 1) for u in range(n)]
@@ -102,9 +225,7 @@ def complete_magic(
         N[d][u] |= 1 << v
         N[d][v] |= 1 << u
         opened[u] ^= 1 << v
-    steps: list[TraceStep] = []
-    new = tuple.__new__
-    tags = families.tag
+    flat: list[int] = []  # per rank step: rank, x, u, v, witness, fork
     for rank, x, fam in families.schedule:
         Nx = N[x]
         for u in range(n):
@@ -132,30 +253,25 @@ def complete_magic(
                 for a, b in fam:
                     h |= N[a][u] & N[b][v]
                 w = (h & -h).bit_length() - 1
-                fork = (row_u[w], dist[w][v])
+                flat.extend((rank, x, u, v, w, row_u[w], dist[w][v]))
                 row_u[v] = dist[v][u] = x
                 Nx[v] |= 1 << u
-                steps.append(new(TraceStep, (rank, x, u, v, w, fork, tags[fork])))
 
-    # one pass over the pairs gives every open one the magic distance; each
-    # pair tuple doubles as the final graph's key
-    final_rank = 2 * params.delta + 1
-    final_family = Family.FINAL
-    append = steps.append
-    edges = {}
-    for pair in itertools.combinations(range(n), 2):
-        u, v = pair
-        d = dist[u][v]
-        if not d:
-            d = dist[u][v] = dist[v][u] = magic
-            append(new(TraceStep, (final_rank, magic, u, v, None, None, final_family)))
-        edges[pair] = d
-
-    final = EdgeLabelledGraph._trusted(n, edges)
+    # every pair still open, the set bits of opened, takes the magic distance
+    for u, bits in enumerate(opened):
+        row_u = dist[u]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            v = low.bit_length() - 1
+            row_u[v] = dist[v][u] = magic
+    trace = CompletionTrace._columns(
+        flat, families.tag, 2 * params.delta + 1, magic, opened, dist
+    )
     N[magic] = None  # the final fill left it out; violations derives it
-    viol = violations(final, params, dist, N)
+    viol = violations(g, params, dist, N)
     status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
-    return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
+    return CompletionResult(status, trace, viol)
 
 
 def _decide_cycles(cycles, params: Params, magic: int) -> int:
@@ -269,7 +385,7 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
     final = EdgeLabelledGraph(n, triples)
     viol = violations(final, params)
     status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
-    return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
+    return CompletionResult(status, CompletionTrace(steps, final), viol)
 
 
 def _count_over_budget(base: int, exponent: int, budget: int) -> str | None:

@@ -8,6 +8,7 @@ automorphisms, and the extension-property verifier built on them.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
@@ -165,39 +166,117 @@ class TriangleViolation:
 BITSET_MIN_VERTICES = 32
 
 
+class ViolationView(Sequence):
+    """The forbidden triangles of one scan, found again on each pass.
+
+    A view holds the scan's inputs, not its results, and the first
+    triangle, which violations() scans for before it builds the view; a
+    graph with none gets the one empty view, which is never scanned again.
+    So the truth value and ``[0]`` cost nothing more.  Iterating runs the
+    scan afresh, in the same order, and yields one TriangleViolation at a
+    time, so a caller that streams the triangles holds one at a time.
+    ``len()`` and any other index rescan.  A view equals a list, tuple or
+    view with the same triangles in the same order.
+
+    The scan reads its matrix (and bitsets) as it runs, so nobody may change
+    them once the view is built.
+    """
+
+    __slots__ = ("_scan", "_args", "_first")
+
+    def __init__(self, scan, args, first):
+        self._scan = scan  # a generator function of args
+        self._args = args
+        self._first = first  # its first triangle, None for the empty view
+
+    def __iter__(self):
+        if self._first is None:
+            return iter(())
+        return self._scan(*self._args)
+
+    def __bool__(self):
+        return self._first is not None
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index == 0 and self._first is not None:
+            return self._first
+        if index < 0:
+            index += len(self)
+        if index >= 0:
+            for found in itertools.islice(self, index, None):
+                return found
+        raise IndexError("violation index out of range")
+
+    # one pass each, where Sequence's own would index, and so rescan, per item
+    def __reversed__(self):
+        return reversed(list(self))
+
+    def index(self, value, *bounds):
+        return list(self).index(value, *bounds)
+
+    def __eq__(self, other):
+        if not isinstance(other, (ViolationView, list, tuple)):
+            return NotImplemented
+        end = object()
+        return all(a == b for a, b in itertools.zip_longest(self, other, fillvalue=end))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        head = [repr(v) for v in itertools.islice(self, 4)]
+        if len(head) == 4:
+            head[3] = "..."
+        return f"ViolationView([{', '.join(head)}])"
+
+
+_NO_VIOLATIONS = ViolationView(None, (), None)
+
+
 def violations(
     g: EdgeLabelledGraph,
     params: Params,
     matrix: list[list[int]] | None = None,
     bits: list[list[int] | None] | None = None,
-) -> list[TriangleViolation]:
+) -> ViolationView:
     """All forbidden triangles among fully specified triples, in scan order:
-    (i, j, k) ascending with i < j < k.
+    (i, j, k) ascending with i < j < k, as a lazy ViolationView.
 
     Each edge (i, j) walks the rows ``matrix[i][j+1:]`` and
     ``matrix[j][j+1:]`` against the class's table of forbidden triangles
     (params._triangle_table), where an index of 0 reads None.  ``matrix`` is
     ``g.matrix()``, passed by a caller that has built it already.  This is
     the library's one check that each label lies in 1..delta: without
-    ``bits``, a label above delta raises RangeError before the scan,
-    wherever it sits.
+    ``bits``, a label above delta raises RangeError from this call, before
+    any scan, wherever it sits.
 
-    ``bits`` are the engine's: per-label bitsets of the complete graph that
-    complete_magic built from an input this check has passed, so its labels
-    are not checked again.  Bit v of ``bits[d][u]`` is set when u and v are
-    at distance d, for d in 1..delta.  One entry may be None; its rows are
-    then the pairs no other label holds.  Given ``bits``, a graph of at
-    least BITSET_MIN_VERTICES vertices is checked on them instead
-    (_bitset_check).
+    ``matrix`` and ``bits`` may instead be the engine's: the distance matrix
+    and per-label bitsets of the complete graph that complete_magic built
+    from ``g`` after this check passed on ``g``, so its labels are not
+    checked again.  Bit v of ``bits[d][u]`` is set when u and v are at
+    distance d, for d in 1..delta.  One entry may be None; its rows are then
+    the pairs no other label holds.  Given ``bits``, a graph of at least
+    BITSET_MIN_VERTICES vertices is scanned on them instead (_bitset_check).
     """
     dist = g.matrix() if matrix is None else matrix
-    n = g.vertex_count
     if bits is None:
         _check_distance(max(g.edges.values(), default=1), params.delta)
-    elif n >= BITSET_MIN_VERTICES:
-        return _bitset_check(dist, bits, *_triangle_table(params))
-    bad = _triangle_table(params)[0]
-    out = []
+    if bits is not None and g.vertex_count >= BITSET_MIN_VERTICES:
+        scan, args = _bitset_check, (dist, bits, *_triangle_table(params))
+    else:
+        scan, args = _row_scan, (dist, _triangle_table(params)[0])
+    first = next(scan(*args), None)
+    return _NO_VIOLATIONS if first is None else ViolationView(scan, args, first)
+
+
+def _row_scan(dist, bad):
+    """Yield the forbidden triangles of ``dist`` for violations(), row by row."""
+    n = len(dist)
     for i in range(n - 2):
         row_i = dist[i]
         for j in range(i + 1, n - 1):
@@ -210,12 +289,11 @@ def violations(
                 status = bad_a[row_i[k]][row_j[k]]
                 if status is not None:
                     sides = tuple(sorted((a, row_i[k], row_j[k])))
-                    out.append(TriangleViolation((i, j, k), sides, status))
-    return out
+                    yield TriangleViolation((i, j, k), sides, status)
 
 
-def _bitset_check(dist, bits, bad, forbidden) -> list[TriangleViolation]:
-    """violations() of a complete graph, from its per-label bitsets.
+def _bitset_check(dist, bits, bad, forbidden):
+    """Yield violations() of a complete graph, from its per-label bitsets.
 
     ``bad`` and ``forbidden`` are the class's params._triangle_table.
     Triangle (i, j, k) with sides a = ij, b = ik, c = jk is forbidden when
@@ -241,7 +319,6 @@ def _bitset_check(dist, bits, bad, forbidden) -> list[TriangleViolation]:
                     taken |= row[u]
                 derived.append(full ^ taken)
     columns = list(zip([0] * n, *(rows[c] for c in labels)))  # columns[j][c]
-    out = []
     for i in range(n - 2):
         row_i = dist[i]
         mine = [0] + [rows[b][i] for b in labels]
@@ -265,8 +342,7 @@ def _bitset_check(dist, bits, bad, forbidden) -> list[TriangleViolation]:
                 hits ^= low
                 k = low.bit_length() + j
                 a, b, c = row_i[j], row_i[k], dist[j][k]
-                out.append(TriangleViolation((i, j, k), tuple(sorted((a, b, c))), bad[a][b][c]))
-    return out
+                yield TriangleViolation((i, j, k), tuple(sorted((a, b, c))), bad[a][b][c])
 
 
 def _distance_maps(source: EdgeLabelledGraph, target: EdgeLabelledGraph, embed: bool):

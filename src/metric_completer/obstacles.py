@@ -72,16 +72,16 @@ def obstacle_trace(
         raise PreconditionError("input completes; nothing to trace")
 
     # the rank steps only: a magic-filled pair has no witness to expand
-    step_by_pair = {(s.u, s.v): s for s in result.trace.steps if s.witness is not None}
+    trace = result.trace
+    step_by_pair = {(s.u, s.v): s for s in trace.listed_steps if s.witness is not None}
     seed = result.violations[0]
     i, j, k = seed.vertices
-    final = result.trace.final_graph
 
     hom = [i, j, k]
     edges: dict[tuple[int, int], int] = {
-        (0, 1): final.distance(i, j),
-        (0, 2): final.distance(i, k),
-        (1, 2): final.distance(j, k),
+        (0, 1): trace.distance(i, j),
+        (0, 2): trace.distance(i, k),
+        (1, 2): trace.distance(j, k),
     }
     expansions: list[Expansion] = []
     top_rank = 2 * params.delta + 1

@@ -358,22 +358,47 @@ class TestJsonWriter:
             assert max(piece.count('"rank"') for piece in pieces) <= chunk
 
     def test_every_format_matches_the_direct_engine(self, capsys, tmp_path):
-        # the command line against the triple-loop engine and json.dumps
-        path = tmp_path / "case.graph"
-        for par, magic, g in writer_cases():
-            path.write_text(format_graph(par, g))
-            ref = complete_magic_oracle(g, par, magic)
-            expected = {
-                "json": complete_json_oracle(par, magic, ref),
-                "text": "\n".join(cli._complete_text(par, magic, ref)),
-                "dot": "\n".join(cli._complete_dot(ref)),
-            }
-            want = 0 if ref.status is CompletionStatus.COMPLETED else 2
-            for fmt, text in expected.items():
-                code, out, err = run(
-                    capsys, "complete", str(path), "--magic", str(magic), "--format", fmt
-                )
-                assert (code, out, err) == (want, text + "\n", ""), (par, magic, g, fmt)
+        assert_writers_match_the_direct_engine(capsys, tmp_path, writer_cases())
+
+    def test_complete_graphs_through_every_writer(self, capsys, tmp_path):
+        # K_n with every label 1: at k >= 2 every triangle is odd-short and
+        # the input fails at once, with all C(n, 3) triangles reported; at
+        # k = 1 it is complete and clean, with no step
+        triples = [
+            Params(delta, k, c)
+            for delta in range(2, 5)
+            for k in range(1, delta + 1)
+            for c in range(2 * delta + k + 1, 3 * delta + 2)
+        ]
+        assert len(triples) == 19
+        cases = [
+            (par, magic_distances(par)[-1], EdgeLabelledGraph(
+                n, [(u, v, 1) for u, v in itertools.combinations(range(n), 2)]
+            ))
+            for par in triples
+            for n in range(3, 13)
+        ]
+        assert_writers_match_the_direct_engine(capsys, tmp_path, cases)
+
+
+def assert_writers_match_the_direct_engine(capsys, tmp_path, cases):
+    """``complete`` in every format on each (params, magic, graph) of
+    ``cases``, against the triple-loop engine and json.dumps."""
+    path = tmp_path / "case.graph"
+    for par, magic, g in cases:
+        path.write_text(format_graph(par, g))
+        ref = complete_magic_oracle(g, par, magic)
+        expected = {
+            "json": complete_json_oracle(par, magic, ref),
+            "text": "\n".join(cli._complete_text(par, magic, ref)),
+            "dot": "\n".join(cli._complete_dot(ref)),
+        }
+        want = 0 if ref.status is CompletionStatus.COMPLETED else 2
+        for fmt, text in expected.items():
+            code, out, err = run(
+                capsys, "complete", str(path), "--magic", str(magic), "--format", fmt
+            )
+            assert (code, out, err) == (want, text + "\n", ""), (par, magic, g, fmt)
 
 
 class TestObstacles:
@@ -488,6 +513,39 @@ class TestTraceObstacle:
         code, _, err = run(capsys, "trace-obstacle", path)
         assert code == 4
         assert err == "error: input completes; nothing to trace\n"
+
+    def test_clique_in_bounded_memory(self, tmp_path):
+        # K_300 with every label 1 fails at once on its 4,455,100 odd-short
+        # triangles; the witness needs only the first, so the command runs
+        # in a child whose address space is capped at 256 MB, where holding
+        # every triangle as an object would take over a gigabyte
+        n = 300
+        path = tmp_path / "k300.graph"
+        path.write_text(format_graph(
+            Params(6, 2, 15),
+            EdgeLabelledGraph(n, [(u, v, 1) for u, v in itertools.combinations(range(n), 2)]),
+        ))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            f"sys.path.insert(0, {str(Path(obstacles.__file__).parents[1])!r})\n"
+            "from metric_completer import cli\n"
+            f"sys.exit(cli.main(['trace-obstacle', {str(path)!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, CLIQUE_TRACE_TEXT, "")
+
+
+CLIQUE_TRACE_TEXT = """\
+seed: vertices (0,1,2) distances 1,1,1 odd-short
+obstacle: cycle 111 (3 vertices)
+  edge 0 1 1
+  edge 0 2 1
+  edge 1 2 1
+hom: 0->0 1->1 2->2
+"""
 
 
 HUGE_GRAPHS = [

@@ -11,6 +11,7 @@ from metric_completer import cli
 from metric_completer import (
     CapacityError,
     CompletionStatus,
+    CompletionTrace,
     EdgeLabelledGraph,
     Family,
     ParameterError,
@@ -19,6 +20,7 @@ from metric_completer import (
     RangeError,
     TraceStep,
     TriangleStatus,
+    ViolationView,
     check_sandwich,
     classify_triangle,
     complete_magic,
@@ -336,7 +338,8 @@ class TestTraceStep:
         ]
         for step, tail, text in cases:
             # the step's record as the JSON writer renders it
-            record = json.loads(cli._json_steps(",", [step]))
+            trace = CompletionTrace([step], EdgeLabelledGraph(4))
+            (record,) = json.loads("".join(cli._json_list(cli._json_steps(trace, str), 1)))
             head = dict(zip(self.FIELDS[:4], step[:4]))
             assert record == {**head, **tail}
             assert list(record) == list(self.FIELDS)
@@ -559,6 +562,75 @@ small_partial_graphs = st.sampled_from([p for p in TRIPLES if p.delta <= 5]).fla
 )
 
 
+class TestColumnarResult:
+    """complete_magic keeps its trace as columns and its violations as a
+    view; what they give must equal the triple-loop engine's plain values,
+    on both sides of the size at which the final check moves to bitsets."""
+
+    def test_matches_the_direct_engine(self):
+        rng = random.Random(16)
+        statuses = set()
+        for n in range(41):
+            for _ in range(3):
+                par = rng.choice(TRIPLES)
+                magic = rng.choice(magic_distances(par))
+                g = random_tree_graph(rng, n, par.delta, rng.choice((0, 0.02, 0.1)))
+                res = complete_magic(g, par, magic)
+                ref = complete_magic_oracle(g, par, magic)
+                statuses.add((res.status, bool(res.trace.steps)))
+                assert res.status is ref.status
+                trace = res.trace
+                assert trace.steps == ref.trace.steps, (par, magic, g)
+                final, want = trace.final_graph, ref.trace.final_graph
+                assert final == want and hash(final) == hash(want)
+                assert list(final.edges.items()) == list(want.edges.items())
+                assert trace == ref.trace and hash(trace) == hash(ref.trace)
+                # the violations: order, length and equality, against the
+                # per-triangle scan of the final graph
+                found = violations_oracle(final, par)
+                assert list(res.violations) == list(ref.violations) == found
+                assert len(res.violations) == len(found)
+                assert res.violations == tuple(found) and res.violations == found
+                # the parts the writers read give the same steps and edges
+                filled = tuple(
+                    TraceStep(rank, magic_d, u, v, None, None, Family.FINAL)
+                    for rank, magic_d, u, vs in trace.final_rows()
+                    for v in vs
+                )
+                assert trace.listed_steps + filled == trace.steps
+                assert [
+                    ((u, v), d) for u, vs, ds in trace.edge_rows() for v, d in zip(vs, ds)
+                ] == sorted(final.edges.items())
+                assert all(
+                    trace.distance(u, v) == final.distance(u, v)
+                    for u in range(n)
+                    for v in range(n)
+                )
+        assert {
+            (CompletionStatus.COMPLETED, True),
+            (CompletionStatus.FAILED, True),
+            (CompletionStatus.FAILED, False),
+        } <= statuses
+
+    def test_an_input_that_fails_at_once_keeps_its_graph(self):
+        g = EdgeLabelledGraph(4, [(2, 3, 6), (1, 3, 1), (0, 1, 2), (1, 2, 1)])
+        res = complete_magic(g, PAR)
+        assert res.trace.final_graph is g
+        assert res.trace.steps == res.trace.listed_steps == ()
+        assert list(res.trace.final_rows()) == []
+        # read from the matrix rows: sorted, where the graph keeps file order
+        assert [(u, list(vs), ds) for u, vs, ds in res.trace.edge_rows()] == [
+            (0, [1], [2]), (1, [2, 3], [1, 1]), (2, [3], [6])
+        ]
+        assert res.trace.distance(0, 3) is None and res.trace.distance(3, 3) == 0
+
+    def test_steps_and_graph_are_built_once(self):
+        trace = complete_magic(cycle_graph((1, 1, 6, 6, 5)), PAR, 4).trace
+        assert trace.steps is trace.steps
+        assert trace.final_graph is trace.final_graph
+        assert trace.listed_steps is trace.listed_steps
+
+
 class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(small_partial_graphs)
@@ -634,6 +706,13 @@ class TestShortestPath:
         res = shortest_path_completion(cycle_graph((5, 5, 5, 5)), PAR)
         assert res.status is CompletionStatus.FAILED
         assert res.violations
+
+    def test_violations_are_a_view(self):
+        # the same lazy sequence as the engine's, equal to the per-triangle scan
+        res = shortest_path_completion(cycle_graph((5, 5, 5, 5)), PAR)
+        assert type(res.violations) is ViolationView
+        assert res.violations == violations_oracle(res.trace.final_graph, PAR)
+        assert len(res.violations) == 4
 
 
 class TestOracle:

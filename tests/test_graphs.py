@@ -266,12 +266,62 @@ class TestViolations:
             assert violations(g, PAR) == violations(g, PAR, g.matrix()) == expected
             assert calls == [], n
             assert violations(g, PAR, g.matrix(), label_bits(g, 6, 4)) == expected
-            assert len(calls) == on_bits, n
+            # one scan up to the first triangle, and one for the comparison
+            assert len(calls) == 2 * on_bits, n
             # the engine: the row scan on its input, then its own final check
             tree = EdgeLabelledGraph(n, [(v - 1, v, 1 + v % 6) for v in range(1, n)])
             calls.clear()
             res = complete_magic(tree, PAR)
             assert calls == ([res.trace.final_graph.matrix()] if on_bits else []), n
+
+    @pytest.mark.parametrize("with_bits", [False, True])
+    def test_view_scans_only_as_far_as_asked(self, monkeypatch, with_bits):
+        # K_40 with every label 1: each of its 9880 triangles is odd-short
+        built = []
+        make = graphs.TriangleViolation
+
+        def counted(*fields):
+            built.append(fields)
+            return make(*fields)
+
+        monkeypatch.setattr(graphs, "TriangleViolation", counted)
+        n = 40
+        g = EdgeLabelledGraph(n, [(u, v, 1) for u, v in itertools.combinations(range(n), 2)])
+        bits = label_bits(g, 6) if with_bits else None
+        view = violations(g, PAR, g.matrix(), bits)
+        assert len(built) == 1  # the call scans up to the first triangle
+        assert view and view[0].vertices == (0, 1, 2)
+        assert len(built) == 1  # which the truth value and [0] read
+        expected = violations_oracle(g, PAR)
+        assert list(view) == list(view) == expected  # each pass scans afresh
+        assert len(view) == len(expected) == 9880
+        assert view[1] == expected[1] and view[-1] == expected[-1]
+        assert view[5:8] == expected[5:8]
+        # one pass each: an index per item would rescan 9880 times
+        assert list(reversed(view)) == expected[::-1]
+        assert view.index(expected[7]) == view.index(expected[7], 3, 9) == 7
+        for index in (9880, -9881):
+            with pytest.raises(IndexError):
+                view[index]
+
+    def test_view_compares_as_a_sequence(self):
+        g = cycle_graph((5, 1, 3))
+        found = violations_oracle(g, PAR)
+        view = violations(g, PAR)
+        assert view == found and view == tuple(found) and view == violations(g, PAR)
+        assert view != [] and view != found * 2 and view != set(found)
+        assert hash(view) == hash(tuple(found))
+        assert found[0] in view and view.index(found[0]) == 0 and view.count(found[0]) == 1
+        assert repr(view) == f"ViolationView([{found[0]!r}])"
+        empty = violations(cycle_graph((1, 1, 2)), PAR)
+        assert not empty and empty == [] and empty == () and len(empty) == 0
+        with pytest.raises(IndexError):
+            empty[0]
+
+    def test_clean_graphs_share_the_empty_view(self):
+        view = violations(cycle_graph((1, 1, 2)), PAR)
+        assert view is violations(EdgeLabelledGraph(0), PAR)
+        assert list(view) == [] and len(view) == 0 and not view
 
     def test_label_beyond_delta_in_a_triangle(self):
         # violations refuses the 7 wherever it sits; the per-triangle oracle

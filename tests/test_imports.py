@@ -1,8 +1,8 @@
 """Every name a library module imports is used in that module, every
 private name a library module defines is read by the library, no library
 module imports the test-only code, the library imports nothing beyond the
-standard library and itself, one function classifies triangles, and a
-catalogue's entries are checked only where it is built."""
+standard library and itself, nor the gc module, one function classifies
+triangles, and a catalogue's entries are checked only where it is built."""
 
 import ast
 import sys
@@ -116,9 +116,9 @@ def test_no_dead_privates(name):
     assert dead_privates(LIBRARY)[name] == []
 
 
-def imports_of_test_code(source: str) -> list[str]:
-    """Import statements of ``source`` that reach into ``tests`` or
-    ``oracles``, under any package path, relative ones included."""
+def imports_of(source: str, names: set[str]) -> list[str]:
+    """Import statements of ``source`` that reach a module named in
+    ``names``, under any package path, relative ones included."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -128,9 +128,14 @@ def imports_of_test_code(source: str) -> list[str]:
             modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(TEST_ONLY & set(name.split(".")) for name in modules):
+        if any(names & set(name.split(".")) for name in modules):
             out.append(f"line {node.lineno}")
     return out
+
+
+def imports_of_test_code(source: str) -> list[str]:
+    """Import statements of ``source`` that reach into ``tests`` or ``oracles``."""
+    return imports_of(source, TEST_ONLY)
 
 
 def test_scan_flags_an_unused_import():
@@ -162,6 +167,24 @@ def test_scan_flags_imports_of_test_code():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_library_does_not_import_test_code(path):
     assert imports_of_test_code(path.read_text()) == []
+
+
+def test_scan_flags_an_import_of_gc():
+    source = (
+        "import gc\n"
+        "def f():\n"
+        "    from gc import disable\n"
+        "import os, gc as collector\n"
+        "from . import graphs\n"
+    )
+    assert imports_of(source, {"gc"}) == ["line 1", "line 4", "line 3"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_never_touches_gc(path):
+    # the result path stays light on the collector through what it
+    # allocates; no library module switches or tunes the collector
+    assert imports_of(path.read_text(), {"gc"}) == []
 
 
 def test_every_source_is_scanned():

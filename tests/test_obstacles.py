@@ -35,6 +35,7 @@ from metric_completer import (
     parse_cycle_labels,
     substitute_forks,
     verify_catalogue,
+    violations,
 )
 from metric_completer.completion import _decide_cycles
 from metric_completer.obstacles import _canonical_cycle_count, _sample_non_entries
@@ -216,6 +217,40 @@ class TestObstacleTrace:
                 pass
         assert biggest >= 3
 
+    def test_witnesses_are_catalogue_entries(self):
+        # random inputs with no forbidden triangle of their own that the
+        # engine fails, at every acceptable triple with delta 3..6 and a
+        # random magic: the back-trace's cycle is an entry of the substitution
+        # catalogue of its length at the same magic
+        rng = random.Random(41)
+        triples = acceptable_triples(range(3, 7))
+        catalogues = {}
+        lengths = []
+        for _ in range(20000):
+            par = rng.choice(triples)
+            magic = rng.choice(magic_distances(par))
+            n = rng.randint(4, 14)
+            g = EdgeLabelledGraph(n, [
+                (u, v, rng.randint(1, par.delta))
+                for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < 0.25
+            ])
+            if violations(g, par):
+                continue
+            try:
+                labels = obstacle_trace(g, par, magic).cycle_labels()
+            except PreconditionError:  # the input completes
+                continue
+            key = (par, magic, len(labels))
+            if key not in catalogues:
+                catalogues[key] = set(enumerate_obstacle_cycles(
+                    par, len(labels), method="substitution", magic=magic, budget=10**12
+                ).cycles)
+            assert labels in catalogues[key], (par, magic, g)
+            lengths.append(len(labels))
+        assert len(lengths) > 300
+        assert {4, 5, 6} <= set(lengths)
+
 
 class TestSubstitution:
     def test_triangle_115(self):
@@ -279,6 +314,37 @@ class TestEnumeration:
             sub = enumerate_obstacle_cycles(PAR, n, method="substitution")
             assert exh.cycles == sub.cycles, n
             assert (exh.method, sub.method) == ("exhaustive", "substitution")
+
+    @staticmethod
+    def method_cases(deltas, limit):
+        """(params, magic, size) for every acceptable triple with a delta in
+        ``deltas``, every magic and every size from 3 with delta^size at most
+        ``limit``."""
+        return [
+            (par, magic, size)
+            for par in acceptable_triples(deltas)
+            for magic in magic_distances(par)
+            for size in itertools.takewhile(
+                lambda size: par.delta**size <= limit, itertools.count(3)
+            )
+        ]
+
+    def assert_methods_agree(self, cases):
+        for par, magic, size in cases:
+            exh = enumerate_obstacle_cycles(par, size, magic=magic)
+            sub = enumerate_obstacle_cycles(par, size, method="substitution", magic=magic)
+            assert exh.cycles == sub.cycles, (par, magic, size)
+
+    def test_methods_agree_up_to_delta_five(self):
+        cases = self.method_cases(range(2, 6), 10**5)
+        assert len(cases) == 374
+        self.assert_methods_agree(cases)
+
+    @pytest.mark.slow
+    def test_methods_agree_at_delta_six(self):
+        cases = self.method_cases([6], 2 * 10**6)
+        assert len(cases) == 312
+        self.assert_methods_agree(cases)
 
     def test_entries_are_canonical_sorted_and_refused(self):
         cat = enumerate_obstacle_cycles(PAR, 5)
