@@ -206,7 +206,10 @@ def complete_magic(
     The result keeps what the engine computed: its trace holds the columns
     (see CompletionTrace), and its violations are a ViolationView over the
     final matrix and these bitsets, which scans only up to the first
-    forbidden triangle to decide the status.
+    forbidden triangle to decide the status.  Every triangle (magic, magic,
+    x) is allowed, so from BITSET_MIN_VERTICES vertices on that check walks
+    only the pairs not at magic, and scans on only if one of them closes a
+    forbidden triangle.
     """
     families = fork_families(magic, params)
     magic = families.magic
@@ -214,14 +217,19 @@ def complete_magic(
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
 
-    dist = g.matrix()
-    initial = violations(g, params, dist)
+    initial = violations(g, params)
     if initial:
         return CompletionResult(CompletionStatus.FAILED, CompletionTrace((), g), initial)
 
+    # every pair starts at magic: the ranks read only labelled pairs, and
+    # the pairs still open after the last one keep it
+    dist = [[magic] * n for _ in range(n)]
     N = [[0] * n for _ in range(params.delta + 1)]
     opened = N[0] = [((1 << n) - 1) ^ ((2 << u) - 1) for u in range(n)]
+    for u in range(n):
+        dist[u][u] = 0
     for (u, v), d in g.edges.items():
+        dist[u][v] = dist[v][u] = d
         N[d][u] |= 1 << v
         N[d][v] |= 1 << u
         opened[u] ^= 1 << v
@@ -257,18 +265,10 @@ def complete_magic(
                 row_u[v] = dist[v][u] = x
                 Nx[v] |= 1 << u
 
-    # every pair still open, the set bits of opened, takes the magic distance
-    for u, bits in enumerate(opened):
-        row_u = dist[u]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            v = low.bit_length() - 1
-            row_u[v] = dist[v][u] = magic
     trace = CompletionTrace._columns(
         flat, families.tag, 2 * params.delta + 1, magic, opened, dist
     )
-    N[magic] = None  # the final fill left it out; violations derives it
+    N[magic] = None  # it lacks the pairs left open; violations derives it
     viol = violations(g, params, dist, N)
     status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
     return CompletionResult(status, trace, viol)

@@ -157,12 +157,18 @@ class TriangleViolation:
         return f"{self.status.value} {sides} (vertices {verts})"
 
 
-# The final check of complete_magic moves from the row scan to the engine's
-# bitsets at this many vertices.  The bitset check builds up to delta^2 masks
-# per row, which on small graphs costs more than the triangles it skips.  On
-# engine completions at (6, 2, 15) (Python 3.11, shared 2-core VM) it overtook
-# the scan near 28 vertices on labelled trees and near 40 on partial graphs
-# of average degree 4, whose rows hold more labels; 32 sits between the two.
+# From this many vertices on, violations() reads bitsets instead of running
+# the row scan: the edge walk on a graph given without bitsets, and on the
+# engine's, the walk of the pairs off magic, then the bitset check.  Each
+# builds bitsets and masks of up to delta^2 third sides, which on small
+# graphs costs more than the triangles it skips.  At (6, 2, 15) (Python 3.11,
+# shared 2-core VM, best of 5) the walk off magic overtook the row scan near
+# 16 vertices on completed labelled trees and near 24 on completed graphs of
+# average degree 3.  The edge walk, on inputs with no forbidden triangle,
+# overtook it near 16 vertices on trees, 24-32 at average degree 3, and
+# 48-64 at degree 8 and on graphs with every pair or half the pairs set; at
+# 32 it took 0.64, 0.87, 1.59 and 1.16-1.22 times the row scan's time on
+# these, and at 96 vertices 0.50-0.63.  32 sits among these crossovers.
 BITSET_MIN_VERTICES = 32
 
 
@@ -247,13 +253,18 @@ def violations(
     """All forbidden triangles among fully specified triples, in scan order:
     (i, j, k) ascending with i < j < k, as a lazy ViolationView.
 
-    Each edge (i, j) walks the rows ``matrix[i][j+1:]`` and
-    ``matrix[j][j+1:]`` against the class's table of forbidden triangles
-    (params._triangle_table), where an index of 0 reads None.  ``matrix`` is
-    ``g.matrix()``, passed by a caller that has built it already.  This is
+    ``matrix`` is ``g.matrix()``, passed by a caller that has built it
+    already; a label is read from it, and an index of 0 reads None in the
+    class's table of forbidden triangles (params._triangle_table).  This is
     the library's one check that each label lies in 1..delta: without
     ``bits``, a label above delta raises RangeError from this call, before
-    any scan, wherever it sits.
+    any scan, wherever it sits.  Below BITSET_MIN_VERTICES vertices each
+    edge (i, j) walks the rows ``matrix[i][j+1:]`` and ``matrix[j][j+1:]``
+    (_row_scan); from there on, neighbour and per-label bitsets are built
+    from ``g.edges`` in one pass, and each edge (i, j) whose ends share a
+    neighbour k > j is checked against them with one AND per forbidden
+    third side (_edge_walk), so a hole costs nothing.  Both yield the same
+    triangles in the same order.
 
     ``matrix`` and ``bits`` may instead be the engine's: the distance matrix
     and per-label bitsets of the complete graph that complete_magic built
@@ -262,14 +273,44 @@ def violations(
     distance d, for d in 1..delta.  One entry may be None; its rows are then
     the pairs no other label holds.  Given ``bits``, a graph of at least
     BITSET_MIN_VERTICES vertices is scanned on them instead (_bitset_check).
+    When the None entry is a label m whose triangles (m, m, x) are all
+    allowed, as the engine's magic distance is, every forbidden triangle has
+    a side other than m; so the pairs off m are walked first, each against
+    every third vertex (_non_magic_walk), and a graph where none closes a
+    forbidden triangle is not scanned at all.
     """
+    n = g.vertex_count
     dist = g.matrix() if matrix is None else matrix
+    bad, forbidden = _triangle_table(params)
     if bits is None:
         _check_distance(max(g.edges.values(), default=1), params.delta)
-    if bits is not None and g.vertex_count >= BITSET_MIN_VERTICES:
-        scan, args = _bitset_check, (dist, bits, *_triangle_table(params))
+    if n < BITSET_MIN_VERTICES:
+        scan, args = _row_scan, (dist, bad)
+    elif bits is None:
+        adj = [0] * n
+        rows = [[0] * n for _ in forbidden]
+        for (u, v), d in g.edges.items():
+            row = rows[d]
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        scan, args = _edge_walk, (dist, adj, rows, bad, forbidden)
     else:
-        scan, args = _row_scan, (dist, _triangle_table(params)[0])
+        rows = list(bits)
+        m = rows.index(None, 1) if None in rows[1:] else 0
+        if m:
+            full = (1 << n) - 1
+            taken = [1 << u for u in range(n)]  # bit v: v == u or (u, v) not at m
+            for d in range(1, len(rows)):
+                if d != m:
+                    taken = [t | x for t, x in zip(taken, rows[d])]
+            rows[m] = [full ^ t for t in taken]
+            if all(s is None for s in bad[m][m]) and not _non_magic_walk(
+                dist, rows, m, forbidden
+            ):
+                return _NO_VIOLATIONS
+        scan, args = _bitset_check, (dist, rows, bad, forbidden)
     first = next(scan(*args), None)
     return _NO_VIOLATIONS if first is None else ViolationView(scan, args, first)
 
@@ -292,45 +333,116 @@ def _row_scan(dist, bad):
                     yield TriangleViolation((i, j, k), sides, status)
 
 
+def _masks(forbidden_a, mine):
+    """``(c, G[a][c])`` for each c with ``G[a][c]`` not 0, where ``G[a][c]``
+    is the OR of ``mine[b]`` over the b that ``forbidden_a``, the class's
+    ``forbidden[a]``, lists for c (see _bitset_check)."""
+    pairs = []
+    for c, bs in forbidden_a:
+        g = 0
+        for b in bs:
+            g |= mine[b]
+        if g:
+            pairs.append((c, g))
+    return pairs
+
+
+def _non_magic_walk(dist, rows, magic, forbidden):
+    """Whether a pair (i, j) of the complete graph ``dist`` whose label is
+    not ``magic`` closes a forbidden triangle with any third vertex k.
+
+    ``rows`` are violations()' per-label bitsets, for every label.  A pair of
+    label a meets a forbidden triangle where ``rows[c][j]`` and the OR of
+    ``rows[b][i]`` over the b that ``forbidden[a]`` lists for c share a bit,
+    as in _bitset_check, but with no bound on k.
+    """
+    n = len(dist)
+    full = (1 << n) - 1
+    columns = list(zip([0] * n, *rows[1:]))  # columns[u][c] is rows[c][u]
+    for i, at_magic in enumerate(rows[magic]):
+        right = (full ^ at_magic) >> (i + 1)  # the pairs (i, j > i) off magic
+        if not right:
+            continue
+        row_i = dist[i]
+        mine = columns[i]
+        masks = {}
+        while right:
+            low = right & -right
+            right ^= low
+            j = low.bit_length() + i
+            a = row_i[j]
+            pairs = masks.get(a)
+            if pairs is None:
+                pairs = masks[a] = _masks(forbidden[a], mine)
+            column = columns[j]
+            for c, g in pairs:
+                if column[c] & g:
+                    return True
+    return False
+
+
+def _edge_walk(dist, adj, bits, bad, forbidden):
+    """Yield what _row_scan yields, in its order, from the bitsets of a
+    partial graph.
+
+    Bit v of ``adj[u]`` is set when (u, v) is an edge, and of ``bits[d][u]``
+    when it is an edge of label d.  Row i takes its edges (i, j > i) in turn
+    and skips one whose ends share no neighbour k > j, so an edge in no
+    triangle costs one AND and a hole nothing; any other edge of label a
+    meets a forbidden triangle where ``bits[c][j]`` and the mask ``G[a][c]``
+    of _bitset_check share a bit k > j.  Row i builds the masks of label a
+    when an edge first needs them.
+    """
+    n = len(dist)
+    columns = list(zip([0] * n, *bits[1:]))  # columns[u][c] is bits[c][u]
+    for i, near in enumerate(adj):
+        row_i = dist[i]
+        mine = columns[i]
+        masks = {}
+        right = near >> (i + 1)
+        while right:
+            low = right & -right
+            right ^= low
+            j = low.bit_length() + i
+            if not (near & adj[j]) >> (j + 1):
+                continue
+            a = row_i[j]
+            pairs = masks.get(a)
+            if pairs is None:
+                pairs = masks[a] = _masks(forbidden[a], mine)
+            column = columns[j]
+            hits = 0
+            for c, g in pairs:
+                hits |= column[c] & g
+            hits >>= j + 1
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                k = low.bit_length() + j
+                b, c = row_i[k], dist[j][k]
+                yield TriangleViolation((i, j, k), tuple(sorted((a, b, c))), bad[a][b][c])
+
+
 def _bitset_check(dist, bits, bad, forbidden):
     """Yield violations() of a complete graph, from its per-label bitsets.
 
-    ``bad`` and ``forbidden`` are the class's params._triangle_table.
-    Triangle (i, j, k) with sides a = ij, b = ik, c = jk is forbidden when
-    ``bad[a][b][c]`` is not None.  So for row i and label a, the mask
-    ``G[a][c]``, the OR of ``bits[b][i]`` over the b that ``forbidden[a]``
-    lists for c, holds every k that closes such a triangle with a j at
-    distance c from k, and edge (i, j) of label a meets one exactly where
-    ``bits[c][j] & G[a][c]`` has a bit k > j.  The masks are built once per
-    row i, for the labels that row holds right of i; set bits are listed
-    ascending, which keeps the row scan's order.
+    ``bits`` holds a row for every label, violations() having derived a
+    missing one; ``bad`` and ``forbidden`` are the class's
+    params._triangle_table.  Triangle (i, j, k) with sides a = ij, b = ik,
+    c = jk is forbidden when ``bad[a][b][c]`` is not None.  So for row i
+    and label a, the mask ``G[a][c]``, the OR of ``bits[b][i]`` over the b
+    that ``forbidden[a]`` lists for c, holds every k that closes such a
+    triangle with a j at distance c from k, and edge (i, j) of label a meets
+    one exactly where ``bits[c][j] & G[a][c]`` has a bit k > j.  The masks
+    are built once per row i, for the labels that row holds right of i; set
+    bits are listed ascending, which keeps the row scan's order.
     """
     n = len(dist)
-    labels = range(1, len(bad))
-    full = (1 << n) - 1
-    rows = list(bits)
-    for m in labels:
-        if rows[m] is None:
-            others = [rows[d] for d in labels if d != m]
-            derived = rows[m] = []
-            for u in range(n):
-                taken = 1 << u
-                for row in others:
-                    taken |= row[u]
-                derived.append(full ^ taken)
-    columns = list(zip([0] * n, *(rows[c] for c in labels)))  # columns[j][c]
+    columns = list(zip([0] * n, *bits[1:]))  # columns[j][c] is bits[c][j]
     for i in range(n - 2):
         row_i = dist[i]
-        mine = [0] + [rows[b][i] for b in labels]
-        masks = {}
-        for a in set(row_i[i + 1:]):
-            pairs = masks[a] = []  # (c, G[a][c]) where G[a][c] is not 0
-            for c, bs in forbidden[a]:
-                g = 0
-                for b in bs:
-                    g |= mine[b]
-                if g:
-                    pairs.append((c, g))
+        mine = columns[i]
+        masks = {a: _masks(forbidden[a], mine) for a in set(row_i[i + 1:])}
         for j in range(i + 1, n - 1):
             column = columns[j]
             hits = 0

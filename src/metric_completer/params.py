@@ -42,6 +42,11 @@ class Params:
                 f"unacceptable parameters delta={self.delta} k={self.k} "
                 f"c={self.c}: {check.reason}"
             )
+        # the cached tables are looked up by Params on every engine call
+        object.__setattr__(self, "_hash", hash((self.delta, self.k, self.c)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)

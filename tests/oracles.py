@@ -165,6 +165,19 @@ def violations_oracle(g: EdgeLabelledGraph, params: Params) -> list[TriangleViol
     return out
 
 
+def label_bits(g, delta, missing=None):
+    """Per-label bitsets of a complete graph, as complete_magic keeps them:
+    bit v of bits[d][u] is set when u and v are at distance d.  The entry of
+    label ``missing`` is None."""
+    bits = [[0] * g.vertex_count for _ in range(delta + 1)]
+    for (u, v), d in g.edges.items():
+        bits[d][u] |= 1 << v
+        bits[d][v] |= 1 << u
+    if missing is not None:
+        bits[missing] = None
+    return bits
+
+
 def complete_magic_oracle(
     g: EdgeLabelledGraph, params: Params, magic: int | None = None
 ) -> CompletionResult:

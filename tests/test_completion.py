@@ -33,10 +33,17 @@ from metric_completer import (
     time_function,
     violations,
 )
+from metric_completer import graphs
 from metric_completer.graphs import BITSET_MIN_VERTICES
 from metric_completer.completion import MAX_VERTICES, _count_over_budget
+from metric_completer.params import _triangle_table
 
-from oracles import complete_magic_oracle, oracle_value_ranges, violations_oracle
+from oracles import (
+    complete_magic_oracle,
+    label_bits,
+    oracle_value_ranges,
+    violations_oracle,
+)
 
 PAR = Params(6, 2, 15)
 
@@ -237,9 +244,9 @@ class TestCompleteMagic:
 
     def test_label_beyond_delta_above_the_bitset_threshold(self, monkeypatch):
         # a tree of 40 vertices whose only 7 closes no triangle: the engine's
-        # input goes through the row scan, which refuses the label before
-        # anything is filled; the bitset check, which has no label check,
-        # never runs
+        # input check in violations refuses the label before any scan and
+        # before anything is filled; the bitset check, which has no label
+        # check, never runs
         def unused(*args):
             raise AssertionError("the bitset check ran")
 
@@ -501,6 +508,55 @@ class TestAgainstTripleLoop:
                     assert len(res.trace.steps) == holes
         assert failed >= 4
 
+    def test_walk_off_magic_matches_the_bitset_check(self):
+        # from BITSET_MIN_VERTICES on, the final check walks the pairs off
+        # magic first and stops there when none closes a forbidden triangle;
+        # on completions that succeed and that fail, the walk must find a
+        # triangle exactly when the full bitset check does
+        rng = random.Random(17)
+        cases = [
+            (planted_sparse_graph(rng, 40, PAR, (1, 1, 6, 6, 5)), PAR, magic)
+            for magic in magic_distances(PAR)
+        ]
+        for _ in range(40):
+            par = rng.choice(TRIPLES)
+            n = rng.randint(BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 8)
+            g = random_tree_graph(rng, n, par.delta, rng.choice((0, 0.01, 0.03)))
+            cases.append((g, par, rng.choice(magic_distances(par))))
+        outcomes = set()
+        for g, par, magic in cases:
+            res = complete_magic(g, par, magic)
+            if not res.trace.steps:
+                continue  # the input check failed; no final check ran
+            final = res.trace.final_graph
+            dist = final.matrix()
+            bad, forbidden = _triangle_table(par)
+            bits = label_bits(final, par.delta)
+            full = list(graphs._bitset_check(dist, bits, bad, forbidden))
+            assert graphs._non_magic_walk(dist, bits, magic, forbidden) == bool(full)
+            assert list(res.violations) == full == violations_oracle(final, par), (par, magic)
+            assert (res.status is CompletionStatus.FAILED) == bool(full)
+            outcomes.add(res.status)
+        assert outcomes == {CompletionStatus.COMPLETED, CompletionStatus.FAILED}
+        # complete graphs mostly at magic, where a forbidden triangle is rare
+        # and has two sides off magic: the walk must reach each such pair
+        hits = 0
+        for par in TRIPLES:
+            magic = rng.choice(magic_distances(par))
+            bad, forbidden = _triangle_table(par)
+            for _ in range(4):
+                n = rng.randint(BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 8)
+                g = EdgeLabelledGraph(n, [
+                    (u, v, magic if rng.random() < 0.97 else rng.randint(1, par.delta))
+                    for u, v in itertools.combinations(range(n), 2)
+                ])
+                dist, bits = g.matrix(), label_bits(g, par.delta)
+                full = list(graphs._bitset_check(dist, bits, bad, forbidden))
+                assert graphs._non_magic_walk(dist, bits, magic, forbidden) == bool(full)
+                assert violations(g, par, dist, label_bits(g, par.delta, magic)) == full
+                hits += len(full) == 1
+        assert hits  # some graphs hold a single forbidden triangle
+
     def test_complete_graphs_against_per_triangle_scan(self):
         rng = random.Random(13)
         for n in range(3, 41):
@@ -570,8 +626,8 @@ class TestColumnarResult:
     def test_matches_the_direct_engine(self):
         rng = random.Random(16)
         statuses = set()
-        for n in range(41):
-            for _ in range(3):
+        for n in range(71):
+            for _ in range(3 if n <= 40 else 1):
                 par = rng.choice(TRIPLES)
                 magic = rng.choice(magic_distances(par))
                 g = random_tree_graph(rng, n, par.delta, rng.choice((0, 0.02, 0.1)))

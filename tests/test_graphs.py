@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from metric_completer import (
     CapacityError,
+    CompletionStatus,
     EdgeLabelledGraph,
     FormatError,
     ParameterError,
@@ -23,6 +24,7 @@ from metric_completer import (
     find_homomorphism,
     format_graph,
     is_partial_automorphism,
+    magic_distances,
     parse_graph,
     partial_automorphisms,
     verify_eppa_witness,
@@ -31,10 +33,18 @@ from metric_completer import (
 
 from metric_completer import graphs
 from metric_completer.graphs import BITSET_MIN_VERTICES
+from metric_completer.params import _triangle_table
 
-from oracles import automorphisms_oracle, violations_oracle
+from oracles import automorphisms_oracle, label_bits, violations_oracle
 
 PAR = Params(6, 2, 15)
+
+TRIPLES = [
+    Params(d, k, c)
+    for d in range(2, 7)
+    for k in range(1, d + 1)
+    for c in range(2 * d + k + 1, 3 * d + 2)
+]
 
 
 def random_graph(rng, n, delta, edge_prob=0.6):
@@ -43,19 +53,6 @@ def random_graph(rng, n, delta, edge_prob=0.6):
         if rng.random() < edge_prob:
             edges.append((u, v, rng.randint(1, delta)))
     return EdgeLabelledGraph(n, edges)
-
-
-def label_bits(g, delta, missing=None):
-    """Per-label bitsets of a complete graph, as complete_magic keeps them:
-    bit v of bits[d][u] is set when u and v are at distance d.  The entry of
-    label ``missing`` is None."""
-    bits = [[0] * g.vertex_count for _ in range(delta + 1)]
-    for (u, v), d in g.edges.items():
-        bits[d][u] |= 1 << v
-        bits[d][v] |= 1 << u
-    if missing is not None:
-        bits[missing] = None
-    return bits
 
 
 class TestGraph:
@@ -247,32 +244,92 @@ class TestViolations:
                         par, missing, g)
 
     def test_which_check_runs(self, monkeypatch):
-        # the bitset check runs only when bitsets are given and the graph
-        # has at least BITSET_MIN_VERTICES vertices; the row scan otherwise
+        # below BITSET_MIN_VERTICES the row scan runs; from there on the edge
+        # walk without bitsets, and with them the bitset check, after a walk
+        # of the pairs off the missing label when that label is magic
         calls = []
-        bitset_check = graphs._bitset_check
+        for name in ("_row_scan", "_edge_walk", "_non_magic_walk", "_bitset_check"):
+            def counted(*args, name=name, check=getattr(graphs, name)):
+                calls.append(name)
+                return check(*args)
 
-        def counted(*args):
-            calls.append(args[0])
-            return bitset_check(*args)
-
-        monkeypatch.setattr(graphs, "_bitset_check", counted)
+            monkeypatch.setattr(graphs, name, counted)
         rng = random.Random(5)
         for n in (3, BITSET_MIN_VERTICES - 1, BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 1):
             g = random_graph(rng, n, 6, edge_prob=1.0)
             on_bits = n >= BITSET_MIN_VERTICES
-            calls.clear()
             expected = violations_oracle(g, PAR)
+            calls.clear()
             assert violations(g, PAR) == violations(g, PAR, g.matrix()) == expected
-            assert calls == [], n
-            assert violations(g, PAR, g.matrix(), label_bits(g, 6, 4)) == expected
-            # one scan up to the first triangle, and one for the comparison
-            assert len(calls) == 2 * on_bits, n
-            # the engine: the row scan on its input, then its own final check
+            assert set(calls) == {"_edge_walk" if on_bits else "_row_scan"}, n
+            calls.clear()
+            view = violations(g, PAR, g.matrix(), label_bits(g, 6, 4))
+            if on_bits:
+                # 4 is magic at PAR, and the graph fails: the walk finds a
+                # triangle, then the bitset check scans up to the first
+                assert expected and calls == ["_non_magic_walk", "_bitset_check"], n
+            else:
+                assert calls == ["_row_scan"], n
+            calls.clear()
+            assert view == expected
+            rescan = ["_bitset_check" if on_bits else "_row_scan"]
+            assert calls == (rescan if expected else [])
+            # the engine: its input check, then its own final check, which on
+            # a completed tree walks the pairs off magic and scans no further
             tree = EdgeLabelledGraph(n, [(v - 1, v, 1 + v % 6) for v in range(1, n)])
             calls.clear()
             res = complete_magic(tree, PAR)
-            assert calls == ([res.trace.final_graph.matrix()] if on_bits else []), n
+            assert res.status is CompletionStatus.COMPLETED, n
+            both = ["_edge_walk", "_non_magic_walk"] if on_bits else ["_row_scan"] * 2
+            assert calls == both, n
+
+    def test_edge_walk_matches_the_row_scan(self):
+        # from BITSET_MIN_VERTICES on, a graph without bitsets is checked by
+        # walking its edges; it must yield the row scan's triangles in the
+        # row scan's order, sparse or dense, at every triple with delta <= 6
+        rng = random.Random(17)
+        found = 0
+        for par in TRIPLES:
+            bad = _triangle_table(par)[0]
+            for density in (0.05, 0.3, 0.6, 1.0):
+                n = rng.randint(BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 8)
+                g = random_graph(rng, n, par.delta, edge_prob=density)
+                expected = list(graphs._row_scan(g.matrix(), bad))
+                assert list(violations(g, par)) == expected, (par, density)
+                assert expected == violations_oracle(g, par), (par, density)
+                found += len(expected)
+        assert found
+
+    def test_walk_off_magic_only_for_a_magic_label(self, monkeypatch):
+        # a walk of the pairs off the missing label m misses the triangles
+        # (m, m, m); it may clear a graph only when m is magic, so given any
+        # other label missing, violations scans the graph in full
+        walk = graphs._non_magic_walk
+
+        def unused(*args):
+            raise AssertionError("the walk off the missing label ran")
+
+        monkeypatch.setattr(graphs, "_non_magic_walk", unused)
+        rng = random.Random(18)
+        missed = 0
+        for par in TRIPLES:
+            others = [m for m in range(1, par.delta + 1) if m not in magic_distances(par)]
+            if not others:
+                continue
+            m = rng.choice(others)
+            forbidden = _triangle_table(par)[1]
+            n = rng.randint(BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 8)
+            for noise in (0.0, 0.03):
+                g = EdgeLabelledGraph(n, [
+                    (u, v, m if rng.random() >= noise else rng.randint(1, par.delta))
+                    for u, v in itertools.combinations(range(n), 2)
+                ])
+                expected = violations_oracle(g, par)
+                bits = label_bits(g, par.delta, m)
+                assert violations(g, par, g.matrix(), bits) == expected, (par, m, noise)
+                cleared = not walk(g.matrix(), label_bits(g, par.delta), m, forbidden)
+                missed += bool(expected) and cleared
+        assert missed  # some graphs here the walk would wrongly have cleared
 
     @pytest.mark.parametrize("with_bits", [False, True])
     def test_view_scans_only_as_far_as_asked(self, monkeypatch, with_bits):

@@ -1,6 +1,9 @@
 """Parameter validation, triangle classification, magic distances, forks."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import subprocess
 import sys
 
@@ -80,6 +83,43 @@ class TestValidate:
             "unacceptable parameters delta=6 k=7 c=15: k exceeds delta"
         )
         assert Params(6, 2, 15) == PAR
+
+
+class TestParamsHash:
+    """Params computes its hash once, when built; it must stay the hash of
+    an equal triple through every way a Params is copied or rebuilt."""
+
+    def test_equal_triples_hash_equal(self):
+        for par in acceptable_triples(6):
+            twin = Params(par.delta, par.k, par.c)
+            assert twin == par and hash(twin) == hash(par)
+            assert hash(par) == hash((par.delta, par.k, par.c))
+        assert len({Params(6, 2, 15), Params(6, 2, 15), Params(6, 2, 16)}) == 2
+
+    def test_copies_keep_equality_and_hash(self):
+        for par in (PAR, Params(2, 1, 6), Params(100, 1, 202)):
+            for twin in (
+                copy.copy(par),
+                copy.deepcopy(par),
+                pickle.loads(pickle.dumps(par)),
+                dataclasses.replace(par),
+            ):
+                assert twin == par and hash(twin) == hash(par)
+        moved = dataclasses.replace(PAR, c=16)
+        assert moved == Params(6, 2, 16) and hash(moved) == hash(Params(6, 2, 16))
+        assert moved != PAR
+
+    def test_still_frozen(self):
+        par = Params(6, 2, 15)
+        for name, value in (("delta", 7), ("k", 3), ("c", 16)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(par, name, value)
+        assert par == PAR and hash(par) == hash(PAR)
+
+    def test_repr_and_fields_unchanged(self):
+        assert repr(PAR) == "Params(delta=6, k=2, c=15)"
+        assert [f.name for f in dataclasses.fields(PAR)] == ["delta", "k", "c"]
+        assert dataclasses.astuple(PAR) == (6, 2, 15)
 
 
 class TestClassify:
