@@ -208,8 +208,7 @@ def complete_magic(
     final matrix and these bitsets, which scans only up to the first
     forbidden triangle to decide the status.  Every triangle (magic, magic,
     x) is allowed, so from BITSET_MIN_VERTICES vertices on that check walks
-    only the pairs not at magic, and scans on only if one of them closes a
-    forbidden triangle.
+    a pair at magic only when some third vertex is off magic on both sides.
     """
     families = fork_families(magic, params)
     magic = families.magic

@@ -157,18 +157,16 @@ class TriangleViolation:
         return f"{self.status.value} {sides} (vertices {verts})"
 
 
-# From this many vertices on, violations() reads bitsets instead of running
-# the row scan: the edge walk on a graph given without bitsets, and on the
-# engine's, the walk of the pairs off magic, then the bitset check.  Each
-# builds bitsets and masks of up to delta^2 third sides, which on small
-# graphs costs more than the triangles it skips.  At (6, 2, 15) (Python 3.11,
-# shared 2-core VM, best of 5) the walk off magic overtook the row scan near
-# 16 vertices on completed labelled trees and near 24 on completed graphs of
-# average degree 3.  The edge walk, on inputs with no forbidden triangle,
-# overtook it near 16 vertices on trees, 24-32 at average degree 3, and
-# 48-64 at degree 8 and on graphs with every pair or half the pairs set; at
-# 32 it took 0.64, 0.87, 1.59 and 1.16-1.22 times the row scan's time on
-# these, and at 96 vertices 0.50-0.63.  32 sits among these crossovers.
+# From this many vertices on, violations() walks bitsets (_walk) instead of
+# running the row scan.  The walk builds bitsets and masks of up to delta^2
+# third sides, which on small graphs costs more than the triangles it skips.
+# At (6, 2, 15) (Python 3.11, shared 2-core VM, best of 5) the walk overtook
+# the row scan, on inputs with no forbidden triangle, near 20 vertices on
+# labelled trees, 36 on graphs of average degree 3, 56 at degree 8 and 64
+# with every pair set; with half the pairs set it still took 1.09 times the
+# row scan's time at 96.  On the engine's completed graphs it overtook it
+# below 16 vertices on trees and near 20 at average degree 3.  32 sits
+# among these crossovers.
 BITSET_MIN_VERTICES = 32
 
 
@@ -258,26 +256,24 @@ def violations(
     class's table of forbidden triangles (params._triangle_table).  This is
     the library's one check that each label lies in 1..delta: without
     ``bits``, a label above delta raises RangeError from this call, before
-    any scan, wherever it sits.  Below BITSET_MIN_VERTICES vertices each
-    edge (i, j) walks the rows ``matrix[i][j+1:]`` and ``matrix[j][j+1:]``
-    (_row_scan); from there on, neighbour and per-label bitsets are built
-    from ``g.edges`` in one pass, and each edge (i, j) whose ends share a
-    neighbour k > j is checked against them with one AND per forbidden
-    third side (_edge_walk), so a hole costs nothing.  Both yield the same
-    triangles in the same order.
+    any scan, wherever it sits.
 
     ``matrix`` and ``bits`` may instead be the engine's: the distance matrix
     and per-label bitsets of the complete graph that complete_magic built
     from ``g`` after this check passed on ``g``, so its labels are not
     checked again.  Bit v of ``bits[d][u]`` is set when u and v are at
     distance d, for d in 1..delta.  One entry may be None; its rows are then
-    the pairs no other label holds.  Given ``bits``, a graph of at least
-    BITSET_MIN_VERTICES vertices is scanned on them instead (_bitset_check).
-    When the None entry is a label m whose triangles (m, m, x) are all
-    allowed, as the engine's magic distance is, every forbidden triangle has
-    a side other than m; so the pairs off m are walked first, each against
-    every third vertex (_non_magic_walk), and a graph where none closes a
-    forbidden triangle is not scanned at all.
+    the pairs no other label holds.
+
+    Below BITSET_MIN_VERTICES vertices each edge (i, j) walks the rows
+    ``matrix[i][j+1:]`` and ``matrix[j][j+1:]`` (_row_scan).  From there on
+    one walk reads bitsets (_walk): ``bits``, or per-label ones built from
+    ``g.edges`` in one pass.  It skips the pairs no forbidden triangle can
+    need.  Without a None entry those are the holes, the pairs no label
+    holds.  With one, of a label m whose triangles (m, m, x) are all
+    allowed, as the engine's magic distance is, they are the pairs at m
+    with no third vertex off m on both sides; for any other m it walks
+    every pair.  Both scans yield the same triangles in the same order.
     """
     n = g.vertex_count
     dist = g.matrix() if matrix is None else matrix
@@ -287,30 +283,28 @@ def violations(
     if n < BITSET_MIN_VERTICES:
         scan, args = _row_scan, (dist, bad)
     elif bits is None:
-        adj = [0] * n
+        near = [0] * n
         rows = [[0] * n for _ in forbidden]
         for (u, v), d in g.edges.items():
             row = rows[d]
             row[u] |= 1 << v
             row[v] |= 1 << u
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        scan, args = _edge_walk, (dist, adj, rows, bad, forbidden)
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+        scan, args = _walk, (dist, near, rows, bad, forbidden, True)
     else:
         rows = list(bits)
         m = rows.index(None, 1) if None in rows[1:] else 0
+        near = [1 << u for u in range(n)]  # bit v: v == u or (u, v) not at m
+        for d in range(1, len(rows)):
+            if d != m:
+                near = [t | x for t, x in zip(near, rows[d])]
         if m:
             full = (1 << n) - 1
-            taken = [1 << u for u in range(n)]  # bit v: v == u or (u, v) not at m
-            for d in range(1, len(rows)):
-                if d != m:
-                    taken = [t | x for t, x in zip(taken, rows[d])]
-            rows[m] = [full ^ t for t in taken]
-            if all(s is None for s in bad[m][m]) and not _non_magic_walk(
-                dist, rows, m, forbidden
-            ):
-                return _NO_VIOLATIONS
-        scan, args = _bitset_check, (dist, rows, bad, forbidden)
+            rows[m] = [full ^ t for t in near]
+            if any(s is not None for s in bad[m][m]):
+                near = [full] * n  # a forbidden (m, m, x): every pair counts
+        scan, args = _walk, (dist, near, rows, bad, forbidden, not m)
     first = next(scan(*args), None)
     return _NO_VIOLATIONS if first is None else ViolationView(scan, args, first)
 
@@ -336,7 +330,7 @@ def _row_scan(dist, bad):
 def _masks(forbidden_a, mine):
     """``(c, G[a][c])`` for each c with ``G[a][c]`` not 0, where ``G[a][c]``
     is the OR of ``mine[b]`` over the b that ``forbidden_a``, the class's
-    ``forbidden[a]``, lists for c (see _bitset_check)."""
+    ``forbidden[a]``, lists for c (see _walk)."""
     pairs = []
     for c, bs in forbidden_a:
         g = 0
@@ -347,65 +341,46 @@ def _masks(forbidden_a, mine):
     return pairs
 
 
-def _non_magic_walk(dist, rows, magic, forbidden):
-    """Whether a pair (i, j) of the complete graph ``dist`` whose label is
-    not ``magic`` closes a forbidden triangle with any third vertex k.
+def _walk(dist, near, bits, bad, forbidden, hole):
+    """Yield what _row_scan yields, in its order, from per-label bitsets.
 
-    ``rows`` are violations()' per-label bitsets, for every label.  A pair of
-    label a meets a forbidden triangle where ``rows[c][j]`` and the OR of
-    ``rows[b][i]`` over the b that ``forbidden[a]`` lists for c share a bit,
-    as in _bitset_check, but with no bound on k.
-    """
-    n = len(dist)
-    full = (1 << n) - 1
-    columns = list(zip([0] * n, *rows[1:]))  # columns[u][c] is rows[c][u]
-    for i, at_magic in enumerate(rows[magic]):
-        right = (full ^ at_magic) >> (i + 1)  # the pairs (i, j > i) off magic
-        if not right:
-            continue
-        row_i = dist[i]
-        mine = columns[i]
-        masks = {}
-        while right:
-            low = right & -right
-            right ^= low
-            j = low.bit_length() + i
-            a = row_i[j]
-            pairs = masks.get(a)
-            if pairs is None:
-                pairs = masks[a] = _masks(forbidden[a], mine)
-            column = columns[j]
-            for c, g in pairs:
-                if column[c] & g:
-                    return True
-    return False
+    Bit v of ``bits[d][u]`` is set when (u, v) has label d, and of
+    ``near[u]`` when its label is not the free one: the hole when ``hole``
+    is true, else a label m whose triangles (m, m, x) are all allowed.  A
+    forbidden triangle has no side at a hole and at most one at m.  Row i
+    ORs, over each k > i + 1 in ``near[i]``, the bits below k of
+    ``near[k]``; bit j of that ``reach`` is set when some k > j has (i, k)
+    and (j, k) near.  So row i visits the pairs (i, j > i) in
+    ``near[i] & reach`` for the hole and ``near[i] | reach`` for m, and no
+    other pair closes a forbidden triangle with a k > j.
 
-
-def _edge_walk(dist, adj, bits, bad, forbidden):
-    """Yield what _row_scan yields, in its order, from the bitsets of a
-    partial graph.
-
-    Bit v of ``adj[u]`` is set when (u, v) is an edge, and of ``bits[d][u]``
-    when it is an edge of label d.  Row i takes its edges (i, j > i) in turn
-    and skips one whose ends share no neighbour k > j, so an edge in no
-    triangle costs one AND and a hole nothing; any other edge of label a
-    meets a forbidden triangle where ``bits[c][j]`` and the mask ``G[a][c]``
-    of _bitset_check share a bit k > j.  Row i builds the masks of label a
-    when an edge first needs them.
+    Triangle (i, j, k) with sides a = ij, b = ik, c = jk is forbidden when
+    ``bad[a][b][c]`` is not None.  So for row i and label a, the mask
+    ``G[a][c]`` (_masks), the OR of ``bits[b][i]`` over the b that
+    ``forbidden[a]`` lists for c, holds every k that closes such a triangle
+    with a j at distance c from k, and a pair (i, j) of label a meets one
+    exactly where ``bits[c][j] & G[a][c]`` has a bit k > j.  Row i builds
+    the masks of label a when a pair first needs them; set bits are listed
+    ascending, which keeps the row scan's order.
     """
     n = len(dist)
     columns = list(zip([0] * n, *bits[1:]))  # columns[u][c] is bits[c][u]
-    for i, near in enumerate(adj):
+    below = [x & ((1 << k) - 1) for k, x in enumerate(near)]
+    for i, near_i in enumerate(near):
+        reach = 0
+        right = near_i >> (i + 2)
+        while right:
+            low = right & -right
+            right ^= low
+            reach |= below[low.bit_length() + i + 1]
+        right = (near_i & reach if hole else near_i | reach) >> (i + 1)
         row_i = dist[i]
         mine = columns[i]
         masks = {}
-        right = near >> (i + 1)
         while right:
             low = right & -right
             right ^= low
             j = low.bit_length() + i
-            if not (near & adj[j]) >> (j + 1):
-                continue
             a = row_i[j]
             pairs = masks.get(a)
             if pairs is None:
@@ -420,40 +395,6 @@ def _edge_walk(dist, adj, bits, bad, forbidden):
                 hits ^= low
                 k = low.bit_length() + j
                 b, c = row_i[k], dist[j][k]
-                yield TriangleViolation((i, j, k), tuple(sorted((a, b, c))), bad[a][b][c])
-
-
-def _bitset_check(dist, bits, bad, forbidden):
-    """Yield violations() of a complete graph, from its per-label bitsets.
-
-    ``bits`` holds a row for every label, violations() having derived a
-    missing one; ``bad`` and ``forbidden`` are the class's
-    params._triangle_table.  Triangle (i, j, k) with sides a = ij, b = ik,
-    c = jk is forbidden when ``bad[a][b][c]`` is not None.  So for row i
-    and label a, the mask ``G[a][c]``, the OR of ``bits[b][i]`` over the b
-    that ``forbidden[a]`` lists for c, holds every k that closes such a
-    triangle with a j at distance c from k, and edge (i, j) of label a meets
-    one exactly where ``bits[c][j] & G[a][c]`` has a bit k > j.  The masks
-    are built once per row i, for the labels that row holds right of i; set
-    bits are listed ascending, which keeps the row scan's order.
-    """
-    n = len(dist)
-    columns = list(zip([0] * n, *bits[1:]))  # columns[j][c] is bits[c][j]
-    for i in range(n - 2):
-        row_i = dist[i]
-        mine = columns[i]
-        masks = {a: _masks(forbidden[a], mine) for a in set(row_i[i + 1:])}
-        for j in range(i + 1, n - 1):
-            column = columns[j]
-            hits = 0
-            for c, g in masks[row_i[j]]:
-                hits |= column[c] & g
-            hits >>= j + 1
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                k = low.bit_length() + j
-                a, b, c = row_i[j], row_i[k], dist[j][k]
                 yield TriangleViolation((i, j, k), tuple(sorted((a, b, c))), bad[a][b][c])
 
 

@@ -245,12 +245,12 @@ class TestCompleteMagic:
     def test_label_beyond_delta_above_the_bitset_threshold(self, monkeypatch):
         # a tree of 40 vertices whose only 7 closes no triangle: the engine's
         # input check in violations refuses the label before any scan and
-        # before anything is filled; the bitset check, which has no label
+        # before anything is filled; the bitset walk, which has no label
         # check, never runs
         def unused(*args):
-            raise AssertionError("the bitset check ran")
+            raise AssertionError("the bitset walk ran")
 
-        monkeypatch.setattr("metric_completer.graphs._bitset_check", unused)
+        monkeypatch.setattr("metric_completer.graphs._walk", unused)
         n = 40
         assert n > BITSET_MIN_VERTICES
         tree = [(v - 1, v, 1 + v % 6) for v in range(1, n - 1)] + [(0, n - 1, 7)]
@@ -508,11 +508,11 @@ class TestAgainstTripleLoop:
                     assert len(res.trace.steps) == holes
         assert failed >= 4
 
-    def test_walk_off_magic_matches_the_bitset_check(self):
-        # from BITSET_MIN_VERTICES on, the final check walks the pairs off
-        # magic first and stops there when none closes a forbidden triangle;
-        # on completions that succeed and that fail, the walk must find a
-        # triangle exactly when the full bitset check does
+    def test_walk_off_magic_matches_the_row_scan(self):
+        # from BITSET_MIN_VERTICES on, the final check walks the engine's
+        # bitsets and skips a pair (i, j) at magic unless some k > j is off
+        # magic on both sides; on completions that succeed and that fail it
+        # must yield the row scan's triangles in the row scan's order
         rng = random.Random(17)
         cases = [
             (planted_sparse_graph(rng, 40, PAR, (1, 1, 6, 6, 5)), PAR, magic)
@@ -523,38 +523,50 @@ class TestAgainstTripleLoop:
             n = rng.randint(BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 8)
             g = random_tree_graph(rng, n, par.delta, rng.choice((0, 0.01, 0.03)))
             cases.append((g, par, rng.choice(magic_distances(par))))
+        # and n = 32..80 at every triple and magic distance
+        more = random.Random(19)
+        for par in TRIPLES:
+            for magic in magic_distances(par):
+                n = more.randint(BITSET_MIN_VERTICES, 80)
+                g = random_tree_graph(more, n, par.delta, more.choice((0, 0.005, 0.01)))
+                cases.append((g, par, magic))
         outcomes = set()
+        through_magic = 0
         for g, par, magic in cases:
             res = complete_magic(g, par, magic)
             if not res.trace.steps:
                 continue  # the input check failed; no final check ran
             final = res.trace.final_graph
             dist = final.matrix()
-            bad, forbidden = _triangle_table(par)
-            bits = label_bits(final, par.delta)
-            full = list(graphs._bitset_check(dist, bits, bad, forbidden))
-            assert graphs._non_magic_walk(dist, bits, magic, forbidden) == bool(full)
-            assert list(res.violations) == full == violations_oracle(final, par), (par, magic)
-            assert (res.status is CompletionStatus.FAILED) == bool(full)
+            expected = list(graphs._row_scan(dist, _triangle_table(par)[0]))
+            assert list(res.violations) == expected == violations_oracle(final, par), (
+                par, magic)
+            assert (res.status is CompletionStatus.FAILED) == bool(expected)
             outcomes.add(res.status)
+            # failed only through triangles whose side (i, j) is at magic
+            through_magic += bool(expected) and all(
+                dist[v.vertices[0]][v.vertices[1]] == magic for v in expected
+            )
         assert outcomes == {CompletionStatus.COMPLETED, CompletionStatus.FAILED}
+        assert through_magic
         # complete graphs mostly at magic, where a forbidden triangle is rare
         # and has two sides off magic: the walk must reach each such pair
         hits = 0
         for par in TRIPLES:
             magic = rng.choice(magic_distances(par))
-            bad, forbidden = _triangle_table(par)
+            bad = _triangle_table(par)[0]
             for _ in range(4):
                 n = rng.randint(BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 8)
                 g = EdgeLabelledGraph(n, [
                     (u, v, magic if rng.random() < 0.97 else rng.randint(1, par.delta))
                     for u, v in itertools.combinations(range(n), 2)
                 ])
-                dist, bits = g.matrix(), label_bits(g, par.delta)
-                full = list(graphs._bitset_check(dist, bits, bad, forbidden))
-                assert graphs._non_magic_walk(dist, bits, magic, forbidden) == bool(full)
-                assert violations(g, par, dist, label_bits(g, par.delta, magic)) == full
-                hits += len(full) == 1
+                dist = g.matrix()
+                expected = list(graphs._row_scan(dist, bad))
+                assert expected == violations_oracle(g, par)
+                view = violations(g, par, dist, label_bits(g, par.delta, magic))
+                assert list(view) == expected, (par, magic)
+                hits += len(expected) == 1
         assert hits  # some graphs hold a single forbidden triangle
 
     def test_complete_graphs_against_per_triangle_scan(self):

@@ -244,11 +244,11 @@ class TestViolations:
                         par, missing, g)
 
     def test_which_check_runs(self, monkeypatch):
-        # below BITSET_MIN_VERTICES the row scan runs; from there on the edge
-        # walk without bitsets, and with them the bitset check, after a walk
-        # of the pairs off the missing label when that label is magic
+        # below BITSET_MIN_VERTICES the row scan runs; from there on one walk
+        # of the bitsets serves the input check, the engine's final check and
+        # each rescan, one call each
         calls = []
-        for name in ("_row_scan", "_edge_walk", "_non_magic_walk", "_bitset_check"):
+        for name in ("_row_scan", "_walk"):
             def counted(*args, name=name, check=getattr(graphs, name)):
                 calls.append(name)
                 return check(*args)
@@ -257,31 +257,25 @@ class TestViolations:
         rng = random.Random(5)
         for n in (3, BITSET_MIN_VERTICES - 1, BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 1):
             g = random_graph(rng, n, 6, edge_prob=1.0)
-            on_bits = n >= BITSET_MIN_VERTICES
+            scan = "_walk" if n >= BITSET_MIN_VERTICES else "_row_scan"
             expected = violations_oracle(g, PAR)
             calls.clear()
             assert violations(g, PAR) == violations(g, PAR, g.matrix()) == expected
-            assert set(calls) == {"_edge_walk" if on_bits else "_row_scan"}, n
+            assert set(calls) == {scan}, n
             calls.clear()
+            # 4 is magic at PAR, and the graph fails: the walk finds its first
+            # triangle while violations builds the view
             view = violations(g, PAR, g.matrix(), label_bits(g, 6, 4))
-            if on_bits:
-                # 4 is magic at PAR, and the graph fails: the walk finds a
-                # triangle, then the bitset check scans up to the first
-                assert expected and calls == ["_non_magic_walk", "_bitset_check"], n
-            else:
-                assert calls == ["_row_scan"], n
+            assert expected and calls == [scan], n
             calls.clear()
             assert view == expected
-            rescan = ["_bitset_check" if on_bits else "_row_scan"]
-            assert calls == (rescan if expected else [])
-            # the engine: its input check, then its own final check, which on
-            # a completed tree walks the pairs off magic and scans no further
+            assert calls == [scan]
+            # the engine: its input check, then its own final check
             tree = EdgeLabelledGraph(n, [(v - 1, v, 1 + v % 6) for v in range(1, n)])
             calls.clear()
             res = complete_magic(tree, PAR)
             assert res.status is CompletionStatus.COMPLETED, n
-            both = ["_edge_walk", "_non_magic_walk"] if on_bits else ["_row_scan"] * 2
-            assert calls == both, n
+            assert calls == [scan] * 2, n
 
     def test_edge_walk_matches_the_row_scan(self):
         # from BITSET_MIN_VERTICES on, a graph without bitsets is checked by
@@ -300,16 +294,11 @@ class TestViolations:
                 found += len(expected)
         assert found
 
-    def test_walk_off_magic_only_for_a_magic_label(self, monkeypatch):
-        # a walk of the pairs off the missing label m misses the triangles
-        # (m, m, m); it may clear a graph only when m is magic, so given any
-        # other label missing, violations scans the graph in full
-        walk = graphs._non_magic_walk
-
-        def unused(*args):
-            raise AssertionError("the walk off the missing label ran")
-
-        monkeypatch.setattr(graphs, "_non_magic_walk", unused)
+    def test_walk_off_magic_only_for_a_magic_label(self):
+        # the walk skips a pair at the missing label m unless a third vertex
+        # is off m on both sides, and so misses the triangles (m, m, m); it
+        # may treat m so only when m is magic, so given any other label
+        # missing, violations walks every pair
         rng = random.Random(18)
         missed = 0
         for par in TRIPLES:
@@ -317,19 +306,28 @@ class TestViolations:
             if not others:
                 continue
             m = rng.choice(others)
-            forbidden = _triangle_table(par)[1]
+            bad, forbidden = _triangle_table(par)
             n = rng.randint(BITSET_MIN_VERTICES, BITSET_MIN_VERTICES + 8)
             for noise in (0.0, 0.03):
                 g = EdgeLabelledGraph(n, [
                     (u, v, m if rng.random() >= noise else rng.randint(1, par.delta))
                     for u, v in itertools.combinations(range(n), 2)
                 ])
-                expected = violations_oracle(g, par)
-                bits = label_bits(g, par.delta, m)
-                assert violations(g, par, g.matrix(), bits) == expected, (par, m, noise)
-                cleared = not walk(g.matrix(), label_bits(g, par.delta), m, forbidden)
-                missed += bool(expected) and cleared
-        assert missed  # some graphs here the walk would wrongly have cleared
+                dist = g.matrix()
+                expected = list(graphs._row_scan(dist, bad))
+                assert expected == violations_oracle(g, par), (par, m, noise)
+                view = violations(g, par, dist, label_bits(g, par.delta, m))
+                assert list(view) == expected, (par, m, noise)
+                # the same walk with m taken as free; the labels' rows are
+                # disjoint, so their sum is their OR
+                bits = label_bits(g, par.delta)
+                off_m = [
+                    sum(bits[d][u] for d in range(1, par.delta + 1) if d != m)
+                    for u in range(n)
+                ]
+                skipped = list(graphs._walk(dist, off_m, bits, bad, forbidden, False))
+                missed += skipped != expected
+        assert missed  # some graphs here the walk off m would get wrong
 
     @pytest.mark.parametrize("with_bits", [False, True])
     def test_view_scans_only_as_far_as_asked(self, monkeypatch, with_bits):

@@ -271,6 +271,12 @@ def test_triangles_are_classified_only_into_the_table():
     assert callers_of(LIBRARY, "classify_triangle") == ["params.py:_triangle_table"]
 
 
+def test_forbidden_triangles_are_listed_by_two_scans_only():
+    # violations reads every forbidden triangle through the row scan below
+    # BITSET_MIN_VERTICES and one bitset walk from there on
+    assert callers_of(LIBRARY, "TriangleViolation") == ["graphs.py:_row_scan", "graphs.py:_walk"]
+
+
 def test_catalogue_entries_are_canonicalized_only_where_built():
     # ObstacleCatalogue checks its entries once, when built; the parser, the
     # verifier and the sampler rely on that.  The other callers read an
