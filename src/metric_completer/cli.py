@@ -13,7 +13,8 @@ import functools
 import itertools
 import sys
 from contextlib import nullcontext
-from operator import add, itemgetter
+from itertools import compress, islice
+from operator import getitem, itemgetter
 
 from .completion import CompletionStatus, Family, complete_magic
 from .errors import (
@@ -109,14 +110,15 @@ _JSON_CHUNK = 4096
 def _lines(lines):
     """Yield ``lines`` joined by newlines, at most _JSON_CHUNK at a time."""
     lines = iter(lines)
-    while chunk := list(itertools.islice(lines, _JSON_CHUNK)):
+    while chunk := list(islice(lines, _JSON_CHUNK)):
         yield "\n".join(chunk)
 
 
-def _numerals(trace, params):
-    """The decimal text of each vertex and label of ``trace`` by number, for
-    the writers to look up instead of formatting each number again."""
-    return list(map(str, range(max(trace.vertex_count, params.delta + 1)))).__getitem__
+def _numerals(trace, params) -> list[str]:
+    """The decimal text of each vertex and label of ``trace``, indexed by
+    number, for the writers to look up instead of formatting each number
+    again."""
+    return list(map(str, range(max(trace.vertex_count, params.delta + 1))))
 
 
 def _complete_text(params, magic, result):
@@ -125,11 +127,11 @@ def _complete_text(params, magic, result):
     trace = result.trace
     yield f"params delta={params.delta} k={params.k} c={params.c} M={magic}"
     yield from _lines(step.describe() for step in trace.listed_steps)
-    numeral = _numerals(trace, params)
-    for _, distance, u, vs in trace.final_rows():
+    numerals = _numerals(trace, params)
+    for _, distance, u, flags in trace.final_rows():
         # TraceStep.describe() of each magic-filled step of the row
         head, tail = f"final: ({u},", f") = {distance}"
-        yield head + (tail + "\n" + head).join(map(numeral, vs)) + tail
+        yield head + (tail + "\n" + head).join(compress(numerals, flags)) + tail
     yield result.status.value
     yield from _lines("violation: " + v.describe() for v in result.violations)
 
@@ -177,7 +179,7 @@ _JSON_EDGE = """\
       %d
     ]"""
 # _JSON_EDGE split around its values: a row's records share the text up to
-# v, and a label's records the text from the comma before d
+# v, and what follows depends only on v and d
 _JSON_EDGE_OPEN, _JSON_EDGE_U, _JSON_EDGE_V, _JSON_EDGE_CLOSE = _JSON_EDGE.split("%d")
 _JSON_VIOLATION = """\
 {
@@ -195,40 +197,32 @@ _JSON_VIOLATION = """\
     }"""
 
 def _json_list(runs, depth: int):
-    """Yield a JSON list that sits ``depth`` levels deep, in chunks of at
-    most _JSON_CHUNK records.
+    """Yield a JSON list that sits ``depth`` levels deep, one piece per run
+    of records.
 
     ``runs`` yields ``(head, tail, values)``: one record ``head + value +
-    tail`` per string in ``values``.  A run is written with one join per
-    chunk, and split where a chunk fills.
+    tail`` per string in ``values``.  Each piece is one join over a run's
+    records, led by the bracket or comma before them; a run of more than
+    _JSON_CHUNK records is split into pieces of at most _JSON_CHUNK.
     """
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
-    lead = "[" + inner  # what the next chunk starts with
-    parts, room = [], _JSON_CHUNK  # per slice of a run: sep, head, records, tail
+    lead = "[" + inner  # what the next piece starts with
     for head, tail, values in runs:
-        values = iter(values)
         joint = tail + sep + head
-        while take := list(itertools.islice(values, room)):
-            parts += (sep, head, joint.join(take), tail)
-            room -= len(take)
-            if not room:
-                parts[0] = lead
-                yield "".join(parts)
-                lead, parts, room = sep, [], _JSON_CHUNK
-    if parts:
-        parts[0] = lead
-        yield "".join(parts)
-    elif lead != sep:
-        yield "[]"
-        return
-    yield "\n" + "  " * depth + "]"
+        values = iter(values)
+        while take := list(islice(values, _JSON_CHUNK)):
+            take[0] = lead + head + take[0]
+            take[-1] += tail
+            yield joint.join(take)
+            lead = sep
+    yield "[]" if lead != sep else "\n" + "  " * depth + "]"
 
 
-def _json_steps(trace, numeral):
+def _json_steps(trace, numerals):
     """The runs of _json_list for the trace's steps: each run of listed
     steps that differ only in v, then each row of magic-filled steps; each
-    v is written by ``numeral``."""
+    v is written as ``numerals[v]``."""
     for (rank, distance, u, witness, fork, family), run in itertools.groupby(
         trace.listed_steps, _ALL_BUT_V
     ):
@@ -237,9 +231,26 @@ def _json_steps(trace, numeral):
             "null" if fork is None else _JSON_FORK % fork,
             family.value,
         )
-        yield _JSON_STEP_HEAD % (rank, distance, u), tail, map(numeral, map(_V, run))
-    for rank, distance, u, vs in trace.final_rows():
-        yield _JSON_STEP_HEAD % (rank, distance, u), _JSON_FINAL_TAIL, map(numeral, vs)
+        values = map(numerals.__getitem__, map(_V, run))
+        yield _JSON_STEP_HEAD % (rank, distance, u), tail, values
+    for rank, distance, u, flags in trace.final_rows():
+        head = _JSON_STEP_HEAD % (rank, distance, u)
+        yield head, _JSON_FINAL_TAIL, compress(numerals, flags)
+
+
+def _json_edges(trace, numerals):
+    """The runs of _json_list for the trace's edges, one per row.  The text
+    of an edge after u depends only on v and d; it is looked up in a table
+    of each label in use, built on the label's first edge."""
+    after_u = [None] * len(numerals)  # label d -> the text after u, by v
+    vertices = numerals[:trace.vertex_count]
+    for u, vs, ds in trace.edge_rows():
+        for d in set(ds):
+            if after_u[d] is None:
+                tail = _JSON_EDGE_V + numerals[d] + _JSON_EDGE_CLOSE
+                after_u[d] = [v + tail for v in vertices]
+        head = _JSON_EDGE_OPEN + numerals[u] + _JSON_EDGE_U
+        yield head, "", map(getitem, map(after_u.__getitem__, ds), vs)
 
 
 def _complete_json(params, magic, result):
@@ -247,18 +258,10 @@ def _complete_json(params, magic, result):
     text is never held at once."""
     trace = result.trace
     yield _JSON_HEAD % (params.delta, params.k, params.c, magic, result.status.value)
-    numeral = _numerals(trace, params)
-    yield from _json_list(_json_steps(trace, numeral), 1)
+    numerals = _numerals(trace, params)
+    yield from _json_list(_json_steps(trace, numerals), 1)
     yield ',\n  "edges": '
-    label = [_JSON_EDGE_V + numeral(d) + _JSON_EDGE_CLOSE for d in range(params.delta + 1)]
-    yield from _json_list((
-        (
-            _JSON_EDGE_OPEN + numeral(u) + _JSON_EDGE_U,
-            "",
-            map(add, map(numeral, vs), map(label.__getitem__, ds)),
-        )
-        for u, vs, ds in trace.edge_rows()
-    ), 1)
+    yield from _json_list(_json_edges(trace, numerals), 1)
     yield ',\n  "violations": '
     yield from _json_list([("", "", (
         _JSON_VIOLATION % (*v.vertices, *v.distances, v.status.value)
@@ -278,7 +281,7 @@ def _complete_dot(result):
     for u, vs, ds in trace.edge_rows():
         filled, final_rank = (), None
         if fill is not None and fill[2] == u:
-            final_rank, filled = fill[0], set(fill[3])
+            final_rank, filled = fill[0], set(compress(itertools.count(), fill[3]))
             fill = next(fills, None)
         lines = []
         for v, d in zip(vs, ds):
@@ -394,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cross-check the catalogue against the oracle")
     p_obst.add_argument("--budget", type=int, default=10**8,
                         help="oracle assignment cap, and cap on the "
-                             "delta^n label sequences the catalogue walks")
+                             "delta^n label sequences the exhaustive method "
+                             "walks or the candidate cycles the substitution "
+                             "method builds; exit 3 when exceeded")
     p_obst.add_argument("--output", default=None, help="write the catalogue here")
     p_obst.set_defaults(func=cmd_obstacles)
 

@@ -94,17 +94,18 @@ class CompletionTrace:
         return self._listed
 
     def final_rows(self):
-        """Yield ``(rank, distance, u, vs)`` for each row u of the
-        magic-filled pairs (u, v) that follow listed_steps, ``vs`` ascending;
-        a plain trace has none."""
+        """Yield ``(rank, distance, u, flags)`` for each row u of the
+        magic-filled pairs (u, v) that follow listed_steps: byte v of
+        ``flags`` is 1 for each such pair and 0 otherwise, so that
+        ``itertools.compress(seq, flags)`` picks ``seq[v]`` of each v in
+        ascending order; a plain trace has none."""
         if self._fill is None:
             return
         rank, magic, opened = self._fill
         for u, bits in enumerate(opened):
             if bits:
                 # bin() lists bit 0 last; reversed, byte v is 1 when bit v is
-                flags = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
-                yield rank, magic, u, list(itertools.compress(itertools.count(), flags))
+                yield rank, magic, u, bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
 
     def edge_rows(self):
         """Yield ``(u, vs, ds)`` for each vertex u with an edge (u, v) of
@@ -140,8 +141,8 @@ class CompletionTrace:
             new, final = tuple.__new__, Family.FINAL
             self._steps = self.listed_steps + tuple(
                 new(TraceStep, (rank, magic, u, v, None, None, final))
-                for rank, magic, u, vs in self.final_rows()
-                for v in vs
+                for rank, magic, u, flags in self.final_rows()
+                for v in itertools.compress(itertools.count(), flags)
             )
         return self._steps
 

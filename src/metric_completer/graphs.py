@@ -31,7 +31,7 @@ class EdgeLabelledGraph:
             raise FormatError(f"bad vertex count {vertex_count!r}")
         normalized: dict[tuple[int, int], int] = {}
         for u, v, d in edges:
-            if not all(type(x) is int for x in (u, v, d)):
+            if type(u) is not int or type(v) is not int or type(d) is not int:
                 raise FormatError(f"bad edge ({u!r}, {v!r}, {d!r})")
             if u == v:
                 raise FormatError(f"loop at vertex {u}")
@@ -113,11 +113,14 @@ class EdgeLabelledGraph:
 
 
 def build_graph(vertex_count: int, edge_list, params: Params) -> EdgeLabelledGraph:
-    """Validated construction from (u, v, distance) triples."""
+    """Validated construction from (u, v, distance) triples: the graph's own
+    checks first, then each label against delta, the first offender in edge
+    order named."""
     g = EdgeLabelledGraph(vertex_count, edge_list)
-    for (u, v), d in g.edges.items():
-        if d > params.delta:
-            raise RangeError(f"distance {d} on edge ({u}, {v}) exceeds {params.delta}")
+    if max(g.edges.values(), default=0) > params.delta:
+        for (u, v), d in g.edges.items():
+            if d > params.delta:
+                raise RangeError(f"distance {d} on edge ({u}, {v}) exceeds {params.delta}")
     return g
 
 
@@ -551,17 +554,22 @@ def parse_graph(text: str) -> tuple[Params, EdgeLabelledGraph]:
     param_values = None
     vertex_count = None
     triples = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
         fields = line.split()
-        keyword, args = fields[0], fields[1:]
+        if not fields:
+            continue
+        keyword = fields[0]
         try:
-            values = [int(x) for x in args]
+            values = tuple(map(int, fields[1:]))
         except ValueError:
-            raise FormatError(f"line {lineno}: non-integer field in {line!r}")
-        if keyword == "params":
+            raise FormatError(f"line {lineno}: non-integer field in {line.strip()!r}")
+        if keyword == "edge":
+            if len(values) != 3:
+                raise FormatError(f"line {lineno}: edge needs u v d")
+            triples.append(values)
+        elif keyword == "params":
             if param_values is not None:
                 raise FormatError(f"line {lineno}: repeated params line")
             if len(values) != 3:
@@ -573,10 +581,6 @@ def parse_graph(text: str) -> tuple[Params, EdgeLabelledGraph]:
             if len(values) != 1:
                 raise FormatError(f"line {lineno}: vertices needs one count")
             vertex_count = values[0]
-        elif keyword == "edge":
-            if len(values) != 3:
-                raise FormatError(f"line {lineno}: edge needs u v d")
-            triples.append(tuple(values))
         else:
             raise FormatError(f"line {lineno}: unknown keyword {keyword!r}")
     if param_values is None:

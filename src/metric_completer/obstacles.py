@@ -302,24 +302,40 @@ def enumerate_obstacle_cycles(
     same way; it can only reach substitution-generated cycles.  Both decide
     _LANES cycles per bit-sliced _decide_cycles call.  A ``size`` that is not
     an int raises RangeError before anything else is checked.
+
+    ``budget`` caps the work: the delta**size label sequences the exhaustive
+    method walks, and the candidate cycles the substitution method builds,
+    the canonical 3-cycles and then every substitution, each generation
+    counted before it is built.  Either raises CapacityError before going
+    over.  As each generation is built from the one before alone, the
+    substitution method stops at the first empty one.
     """
     if type(size) is not int:
         raise RangeError(f"cycle size {size!r} is not an integer")
-    magic = fork_families(magic, params).magic
+    families = fork_families(magic, params)
+    magic = families.magic
     if size < 3:
         raise RangeError("cycles need at least 3 edges")
     if method not in METHODS:
         raise FormatError(f"unknown method {method!r}")
-    count = _count_over_budget(params.delta, size, budget)
-    if count is not None:
-        raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
 
     if method == "exhaustive":
+        count = _count_over_budget(params.delta, size, budget)
+        if count is not None:
+            raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
         found = _refused(_canonical_cycles(params.delta, size), params, magic)
         return ObstacleCatalogue(params, size, method, tuple(found))
 
+    built = _canonical_cycle_count(params.delta, 3)
+    if built > budget:
+        raise CapacityError(f"{built} candidate cycles exceed the budget of {budget}")
     current = _refused(_canonical_cycles(params.delta, 3), params, magic)
     for _ in range(3, size):
+        if not current:
+            break
+        built += sum(len(families.family(x)) for base in current for x in base)
+        if built > budget:
+            raise CapacityError(f"{built} candidate cycles exceed the budget of {budget}")
         candidates = {
             canonical_cycle(cand)
             for base in current

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process through cli.main."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -15,7 +16,10 @@ from metric_completer import (
     CompletionStatus,
     EdgeLabelledGraph,
     Family,
+    FormatError,
+    ParameterError,
     Params,
+    RangeError,
     TriangleStatus,
     complete_magic,
     cycle_graph,
@@ -282,6 +286,35 @@ class TestComplete:
         code, out, err = run(capsys, "complete", path, "--format", "dot")
         assert (code, out, err) == (2, UNSORTED_116_DOT, "")
 
+    def test_json_in_bounded_memory(self, tmp_path):
+        # the empty 1000-vertex graph completes with 499,500 magic-filled
+        # steps and as many edges, 97,182,875 bytes of JSON; the command runs
+        # in a child whose address space is capped at 128 MB, where the
+        # whole text joined at once raises MemoryError, and its output is
+        # hashed as it arrives
+        path = tmp_path / "empty1000.graph"
+        path.write_text(format_graph(Params(6, 2, 15), EdgeLabelledGraph(1000)))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+            f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+            "from metric_completer import cli\n"
+            f"sys.exit(cli.main(['complete', {str(path)!r}, '--format', 'json']))\n"
+        )
+        digest, size = hashlib.sha256(), 0
+        with subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            while block := proc.stdout.read(1 << 16):
+                digest.update(block)
+                size += len(block)
+            err = proc.stderr.read()
+            returncode = proc.wait(timeout=120)
+        assert (returncode, err, size) == (0, b"", 97_182_875)
+        assert digest.hexdigest() == (
+            "9f98fc4288e5f999480f0ab576b39e47701b6d197f51a4f7921c6f1295f8c0d2"
+        )
+
     def test_runs_are_byte_stable(self, capsys, graph_file):
         path = graph_file("c11665.graph", C11665)
         first = run(capsys, "complete", path, "--format", "json")
@@ -312,6 +345,17 @@ def writer_cases():
             g = EdgeLabelledGraph(
                 n, [(u, v, rng.randint(1, par.delta)) for u, v in sorted(pairs)]
             )
+            cases.extend((par, magic, g) for magic in magic_distances(par))
+    # labels of two digits on fewer vertices than delta + 1: the writers'
+    # numerals must cover the labels as well as the vertices
+    par = Params(20, 1, 42)
+    for n in range(6):
+        for _ in range(3):
+            g = EdgeLabelledGraph(n, [
+                (u, v, rng.randint(1, par.delta))
+                for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < 0.5
+            ])
             cases.extend((par, magic, g) for magic in magic_distances(par))
     return cases
 
@@ -485,6 +529,26 @@ class TestObstacles:
         assert out.startswith("catalogue 6 2 15 4 substitution\n")
         assert err == "n=4: 22 cycles (substitution)\n"
 
+    @pytest.mark.parametrize("n", ["11", "100000000"])
+    def test_substitution_stops_at_its_first_empty_generation(self, capsys, n):
+        # the substitution method is charged for the candidates it builds,
+        # not for 6^n label sequences, and its generations are empty from
+        # length 7 on
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", n, "--method", "substitution",
+        )
+        assert (code, out) == (0, f"catalogue 6 2 15 {n} substitution\n")
+        assert err == f"n={n}: 0 cycles (substitution)\n"
+
+    def test_substitution_budget_exceeded(self, capsys):
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "6", "--method", "substitution", "--budget", "100",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: 114 candidate cycles exceed the budget of 100\n"
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run(
             capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
@@ -640,6 +704,65 @@ def test_readme_states_the_caps():
     assert f"delta is above {MAX_DELTA} (`params.MAX_DELTA`" in text
 
 
+P = "params 6 2 15\n"
+
+# (graph file, the error the reader raises): the first fault in file order
+# wins, except that the params line is checked only after the last line, the
+# graph's own checks (counts, loops, ranges, conflicts) only after that, and
+# labels against delta last
+READER_ERRORS = [
+    ("vertices 3\nedge 0 1 x\n",
+     "FormatError: line 2: non-integer field in 'edge 0 1 x'"),
+    (P + "vertices 3\nedge 0 1 9\nedge 2 2 1\n",
+     "FormatError: loop at vertex 2"),
+    ("params 6 2 99\nvertices 2\nedge 0 0 1\n",
+     "ParameterError: unacceptable parameters delta=6 k=2 c=99: "
+     "c exceeds 3*delta + 1 = 19"),
+    (P + "edge 0 1 1.5  # note\n",
+     "FormatError: line 2: non-integer field in 'edge 0 1 1.5'"),
+    (P + "vertices 2\nedge 0  1\tx  # y\nedge 0 1\n",
+     "FormatError: line 3: non-integer field in 'edge 0  1\\tx'"),
+    (P + "vertices 2\nedge 0 1 x#y 1\n",
+     "FormatError: line 3: non-integer field in 'edge 0 1 x'"),
+    (P + "vertices 2\nwat a\nedge 0 1\n",
+     "FormatError: line 3: non-integer field in 'wat a'"),
+    (P + "vertices 2\nwat 1 2\nedge 0 1 x\n",
+     "FormatError: line 3: unknown keyword 'wat'"),
+    (P + "vertices 2\n" + P + "wat 0 1\n",
+     "FormatError: line 3: repeated params line"),
+    (P + "vertices 2\nvertices 2\nedge 0 1\n",
+     "FormatError: line 3: repeated vertices line"),
+    (P + "vertices 2\nedge 0 1\nwat 1\n",
+     "FormatError: line 3: edge needs u v d"),
+    (P + "vertices 2\n  edge\nedge 0 1 x\n",
+     "FormatError: line 3: edge needs u v d"),
+    (P + "vertices 2\nedge 0 1 6#\nedge 0 1 6 7\nedge 0 1 7\n",
+     "FormatError: line 4: edge needs u v d"),
+    ("params 6 2 15 1\nvertices 2 3\n",
+     "FormatError: line 1: params needs delta k c"),
+    (P + "vertices 2 3\nedge 0 1 x\n",
+     "FormatError: line 2: vertices needs one count"),
+    ("# only comments\n\nedge 0 1 9\n",
+     "FormatError: missing params line"),
+    (P + "# no vertices\nedge 0 1 9\n",
+     "FormatError: missing vertices line"),
+    ("params 6 7 15\nvertices 2\nedge 0 1 9\n",
+     "ParameterError: unacceptable parameters delta=6 k=7 c=15: k exceeds delta"),
+    (P + "vertices -1\nedge 0 0 1\n",
+     "FormatError: bad vertex count -1"),
+    (P + "vertices 3\nedge 0 1 9\nedge 0 1 1\nedge 1 0 2\nedge 0 5 1\n",
+     "FormatError: conflicting distances on edge (0, 1)"),
+    (P + "vertices 3\nedge 0 1 9\nedge 1 2 0\n",
+     "FormatError: non-positive distance 0 on edge (1, 2)"),
+    (P + "vertices 3\nedge 0 1 9\nedge 0 3 1\n",
+     "FormatError: edge (0, 3) outside 0..2"),
+    (P + "vertices 3\nedge 2 1 8\nedge 0 1 9\n",
+     "RangeError: distance 8 on edge (1, 2) exceeds 6"),
+    (P + "vertices 3\nedge 0 2 1\nedge 0 1 7\nedge 1 0 7\nedge 1 2 9\n",
+     "RangeError: distance 7 on edge (0, 1) exceeds 6"),
+]
+
+
 class TestErrors:
     def test_unacceptable_params(self, capsys):
         code, _, err = run(capsys, "magic", "--delta", "6", "--k", "7", "--c", "15")
@@ -672,6 +795,16 @@ class TestErrors:
         )
         assert (code, out) == (1, "")
         assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("text, error", READER_ERRORS)
+    def test_first_of_several_faults_wins(self, capsys, graph_file, text, error):
+        # each file has two or more faults; the reader names the same one,
+        # in the same words, and complete exits 1 with it
+        with pytest.raises((FormatError, ParameterError, RangeError)) as caught:
+            parse_graph(text)
+        assert f"{type(caught.value).__name__}: {caught.value}" == error
+        code, out, err = run(capsys, "complete", graph_file("bad.graph", text))
+        assert (code, out, err) == (1, "", f"error: {error.split(': ', 1)[1]}\n")
 
     def test_malformed_file(self, capsys, graph_file):
         path = graph_file("bad.graph", "params 6 2 15\nvertices 3\nedge 0 1\n")

@@ -346,7 +346,8 @@ class TestTraceStep:
         for step, tail, text in cases:
             # the step's record as the JSON writer renders it
             trace = CompletionTrace([step], EdgeLabelledGraph(4))
-            (record,) = json.loads("".join(cli._json_list(cli._json_steps(trace, str), 1)))
+            runs = cli._json_steps(trace, cli._numerals(trace, PAR))
+            (record,) = json.loads("".join(cli._json_list(runs, 1)))
             head = dict(zip(self.FIELDS[:4], step[:4]))
             assert record == {**head, **tail}
             assert list(record) == list(self.FIELDS)
@@ -662,8 +663,8 @@ class TestColumnarResult:
                 # the parts the writers read give the same steps and edges
                 filled = tuple(
                     TraceStep(rank, magic_d, u, v, None, None, Family.FINAL)
-                    for rank, magic_d, u, vs in trace.final_rows()
-                    for v in vs
+                    for rank, magic_d, u, flags in trace.final_rows()
+                    for v in itertools.compress(itertools.count(), flags)
                 )
                 assert trace.listed_steps + filled == trace.steps
                 assert [

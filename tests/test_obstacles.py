@@ -83,6 +83,26 @@ CYCLES_6 = sorted(
 PINNED = {3: TRIANGLES_21, 4: CYCLES_4, 5: CYCLES_5, 6: CYCLES_6}
 
 
+# the length of the longest non-completable substitution cycles of each
+# triple with delta <= 6, the same at every magic distance; None where no
+# triangle is forbidden
+LAST_NON_EMPTY = {
+    (2, 1, 6): 3, (2, 1, 7): None, (2, 2, 7): 3,
+    (3, 1, 8): 5, (3, 1, 9): 3, (3, 1, 10): 3, (3, 2, 9): 3, (3, 2, 10): 3,
+    (3, 3, 10): 5,
+    (4, 1, 10): 7, (4, 1, 11): 4, (4, 1, 12): 4, (4, 1, 13): 4, (4, 2, 11): 4,
+    (4, 2, 12): 4, (4, 2, 13): 4, (4, 3, 12): 5, (4, 3, 13): 5, (4, 4, 13): 7,
+    (5, 1, 12): 9, (5, 1, 13): 5, (5, 1, 14): 5, (5, 1, 15): 5, (5, 1, 16): 5,
+    (5, 2, 13): 5, (5, 2, 14): 5, (5, 2, 15): 5, (5, 2, 16): 5, (5, 3, 14): 5,
+    (5, 3, 15): 5, (5, 3, 16): 5, (5, 4, 15): 7, (5, 4, 16): 7, (5, 5, 16): 9,
+    (6, 1, 14): 11, (6, 1, 15): 6, (6, 1, 16): 6, (6, 1, 17): 6, (6, 1, 18): 6,
+    (6, 1, 19): 6, (6, 2, 15): 6, (6, 2, 16): 6, (6, 2, 17): 6, (6, 2, 18): 6,
+    (6, 2, 19): 6, (6, 3, 16): 6, (6, 3, 17): 6, (6, 3, 18): 6, (6, 3, 19): 6,
+    (6, 4, 17): 7, (6, 4, 18): 7, (6, 4, 19): 7, (6, 5, 18): 9, (6, 5, 19): 9,
+    (6, 6, 19): 11,
+}
+
+
 def acceptable_triples(deltas):
     return [
         Params(delta, k, c)
@@ -383,6 +403,50 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(CapacityError):
             enumerate_obstacle_cycles(PAR, 6, budget=10)
+
+    def test_substitution_is_charged_for_its_candidates(self, monkeypatch):
+        # 56 canonical 3-cycles, then 58 candidates for length 4: the 6^n
+        # label sequences of the exhaustive method are not charged
+        for size, budget, over in ((3, 55, 56), (6, 113, 114)):
+            with pytest.raises(
+                CapacityError, match=f"^{over} candidate cycles exceed the budget of {budget}$"
+            ):
+                enumerate_obstacle_cycles(PAR, size, "substitution", budget=budget)
+        cat = enumerate_obstacle_cycles(PAR, 4, "substitution", budget=114)
+        assert list(cat.cycles) == CYCLES_4
+        # 6^11 sequences, far over the default budget; the generations are
+        # empty from length 7 on, and the first empty one ends the growth
+        decided = []
+
+        def refused(cycles, params, magic):
+            decided.append(len(decided) + 3)
+            return real(cycles, params, magic)
+
+        real = obstacles._refused
+        monkeypatch.setattr(obstacles, "_refused", refused)
+        for size in (11, 10**8):
+            decided.clear()
+            cat = enumerate_obstacle_cycles(PAR, size, "substitution")
+            assert (cat.size, cat.cycles, decided) == (size, (), [3, 4, 5, 6, 7])
+
+    def test_substitution_closure(self):
+        # each substitution catalogue grown to its first empty generation,
+        # for every triple with delta <= 6 and every magic; all later
+        # generations are empty, as each is built from the one before alone.
+        # Where delta^(L+1) <= 2*10**6, the exhaustive catalogue at length
+        # L + 1 is empty as well.
+        exhaustive = 0
+        for par in acceptable_triples(range(2, 7)):
+            for magic in magic_distances(par):
+                size = 3
+                while enumerate_obstacle_cycles(par, size, "substitution", magic).cycles:
+                    size += 1
+                last = size - 1 if size > 3 else None
+                assert last == LAST_NON_EMPTY[(par.delta, par.k, par.c)], (par, magic)
+                if par.delta**size <= 2 * 10**6:
+                    assert enumerate_obstacle_cycles(par, size, magic=magic).cycles == ()
+                    exhaustive += 1
+        assert exhaustive == 104
 
     def test_default_budget_matches_the_cli(self, monkeypatch):
         # 6^9 = 10077696 sequences are within the default budget of 10**8,
