@@ -315,11 +315,13 @@ def cmd_complete(args) -> int:
 def cmd_obstacles(args) -> int:
     params = Params(args.delta, args.k, args.c)
     # open --output first, so that an unwritable path fails before the search,
-    # but in append mode: an existing file is emptied only once the search is done
+    # but in append mode: an existing file is emptied only once the search,
+    # and the verification over budget (exit 3), are done
     with open(args.output, "a") if args.output else nullcontext(sys.stdout) as out:
         catalogue = enumerate_obstacle_cycles(
             params, args.n, method=args.method, magic=args.magic, budget=args.budget
         )
+        report = verify_catalogue(catalogue, budget=args.budget) if args.verify else None
         if args.output:
             out.truncate(0)
         out.write(format_catalogue(catalogue))
@@ -327,8 +329,7 @@ def cmd_obstacles(args) -> int:
         f"n={catalogue.size}: {len(catalogue.cycles)} cycles ({catalogue.method})",
         file=sys.stderr,
     )
-    if args.verify:
-        report = verify_catalogue(catalogue, budget=args.budget)
+    if report is not None:
         if not report.ok:
             print(f"verification failed: {report.failure}", file=sys.stderr)
             return EXIT_USAGE

@@ -21,7 +21,8 @@ class CompletionStatus(Enum):
 
 class TraceStep(NamedTuple):
     """One inserted distance.  A tuple of its fields, so a step equals the
-    plain tuple of the same values; CompletionTrace builds it with tuple.__new__."""
+    plain tuple of the same values; the engine and CompletionTrace build it
+    with tuple.__new__."""
 
     rank: int
     distance: int
@@ -49,56 +50,33 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
 class CompletionTrace:
     """The steps a completion inserted, in order, and the graph it finished.
 
-    ``CompletionTrace(steps, final_graph)`` keeps plain values.  complete_magic
-    keeps its columns instead (_columns): its rank steps as flat ints, seven
-    per step; the per-row bitsets of the pairs still open after the last
-    rank, which then took the magic distance in row-major order; and the
-    final distance matrix.  ``steps`` and ``final_graph`` are built from them
-    on first access, equal, and in the same order, to what the plain form
-    holds.  The writers read either form through listed_steps, final_rows(),
-    edge_rows() and vertex_count, and the back-trace through distance(),
-    none of which builds the whole of ``steps`` or ``final_graph``.
+    ``CompletionTrace(listed_steps, fill, dist, graph=None)``: the steps kept
+    one by one; ``fill``, which is None or ``(rank, magic, opened)``, with
+    bit v of ``opened[u]`` set for each pair (u, v) that took ``magic`` at
+    ``rank`` after them, in row-major order; the final distance matrix, 0
+    for a pair with no distance; and the final graph, when the producer
+    holds it.  Nobody may change them afterwards.  ``steps`` and
+    ``final_graph`` are built on first access.  The writers read
+    listed_steps, final_rows(), edge_rows() and vertex_count, and the
+    back-trace distance(), none of which builds the whole of ``steps`` or
+    ``final_graph``.
     """
 
-    __slots__ = ("_flat", "_tags", "_listed", "_fill", "_dist", "_steps", "_graph")
+    __slots__ = ("listed_steps", "_fill", "_dist", "_steps", "_graph")
 
-    def __init__(self, steps, final_graph: EdgeLabelledGraph):
-        self._steps = self._listed = tuple(steps)
-        self._graph = final_graph
-        self._flat = self._tags = self._fill = self._dist = None
-
-    @classmethod
-    def _columns(cls, flat, tags, rank, magic, opened, dist):
-        """complete_magic's trace: ``flat`` holds (rank, distance, u, v,
-        witness, a, b) per rank step, whose family is ``tags[(a, b)]``;
-        bit v of ``opened[u]`` is set for each pair (u, v) that took ``magic``
-        at ``rank``; ``dist`` is the complete final matrix.  Nobody may change
-        them afterwards."""
-        trace = object.__new__(cls)
-        trace._flat, trace._tags = flat, tags
-        trace._fill = (rank, magic, opened)
-        trace._dist = dist
-        trace._listed = trace._steps = trace._graph = None
-        return trace
-
-    @property
-    def listed_steps(self) -> tuple[TraceStep, ...]:
-        """The steps kept one by one: all of a plain trace's, and the rank
-        steps of complete_magic's, which come before its magic-filled ones."""
-        if self._listed is None:
-            new, tags = tuple.__new__, self._tags
-            self._listed = tuple(
-                new(TraceStep, (rank, x, u, v, w, (a, b), tags[(a, b)]))
-                for rank, x, u, v, w, a, b in zip(*[iter(self._flat)] * 7)
-            )
-        return self._listed
+    def __init__(self, listed_steps, fill, dist, graph=None):
+        self.listed_steps = tuple(listed_steps)
+        self._fill = fill
+        self._dist = dist
+        self._graph = graph
+        self._steps = None
 
     def final_rows(self):
         """Yield ``(rank, distance, u, flags)`` for each row u of the
         magic-filled pairs (u, v) that follow listed_steps: byte v of
         ``flags`` is 1 for each such pair and 0 otherwise, so that
         ``itertools.compress(seq, flags)`` picks ``seq[v]`` of each v in
-        ascending order; a plain trace has none."""
+        ascending order; a trace with no fill has none."""
         if self._fill is None:
             return
         rank, magic, opened = self._fill
@@ -110,7 +88,7 @@ class CompletionTrace:
     def edge_rows(self):
         """Yield ``(u, vs, ds)`` for each vertex u with an edge (u, v) of
         final_graph with v > u: the edges (u, vs[i], ds[i]) in sorted order."""
-        dist = self._matrix()
+        dist = self._dist
         n = len(dist)
         for u, row in enumerate(dist):
             vs, ds = range(u + 1, n), row[u + 1:]
@@ -122,18 +100,13 @@ class CompletionTrace:
 
     def distance(self, u: int, v: int) -> int | None:
         """final_graph.distance(u, v), read without building final_graph."""
-        d = self._matrix()[u][v]
+        d = self._dist[u][v]
         return d if d or u == v else None
 
     @property
     def vertex_count(self) -> int:
         """final_graph.vertex_count, read without building final_graph."""
-        return len(self._matrix())
-
-    def _matrix(self) -> list[list[int]]:
-        if self._dist is None:
-            self._dist = self._graph.matrix()
-        return self._dist
+        return len(self._dist)
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -153,7 +126,8 @@ class CompletionTrace:
             edges = {}
             for pair in itertools.combinations(range(len(dist)), 2):
                 u, v = pair
-                edges[pair] = dist[u][v]
+                if dist[u][v]:
+                    edges[pair] = dist[u][v]
             self._graph = EdgeLabelledGraph._trusted(len(dist), edges)
         return self._graph
 
@@ -171,9 +145,15 @@ class CompletionTrace:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    status: CompletionStatus
+    """A completion's trace and the forbidden triangles of its final graph,
+    a ViolationView from the library; it failed exactly when there is one."""
+
     trace: CompletionTrace
-    violations: Sequence[TriangleViolation]  # a ViolationView from the library
+    violations: Sequence[TriangleViolation]
+
+    @property
+    def status(self) -> CompletionStatus:
+        return CompletionStatus.FAILED if self.violations else CompletionStatus.COMPLETED
 
 
 MAX_VERTICES = 1000
@@ -204,12 +184,14 @@ def complete_magic(
     an arm, so a pair filled earlier in the rank is never a witness, and
     ``N[x]`` is updated in place.
 
-    The result keeps what the engine computed: its trace holds the columns
-    (see CompletionTrace), and its violations are a ViolationView over the
-    final matrix and these bitsets, which scans only up to the first
-    forbidden triangle to decide the status.  Every triangle (magic, magic,
-    x) is allowed, so from BITSET_MIN_VERTICES vertices on that check walks
-    a pair at magic only when some third vertex is off magic on both sides.
+    The result keeps what the engine computed: its trace holds the rank
+    steps, built as each pair is filled, the open bitsets left after the
+    last rank and the final matrix (see CompletionTrace), and its
+    violations are a ViolationView over that matrix and these bitsets,
+    which scans only up to the first forbidden triangle to decide the
+    status.  Every triangle (magic, magic, x) is allowed, so from
+    BITSET_MIN_VERTICES vertices on that check walks a pair at magic only
+    when some third vertex is off magic on both sides.
     """
     families = fork_families(magic, params)
     magic = families.magic
@@ -217,12 +199,13 @@ def complete_magic(
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
 
-    initial = violations(g, params)
+    dist = g.matrix()
+    initial = violations(g, params, dist)
     if initial:
-        return CompletionResult(CompletionStatus.FAILED, CompletionTrace((), g), initial)
+        return CompletionResult(CompletionTrace((), None, dist, g), initial)
 
-    # every pair starts at magic: the ranks read only labelled pairs, and
-    # the pairs still open after the last one keep it
+    # the engine's own matrix, with every pair at magic to start: the ranks
+    # read only labelled pairs, and the pairs still open after the last keep it
     dist = [[magic] * n for _ in range(n)]
     N = [[0] * n for _ in range(params.delta + 1)]
     opened = N[0] = [((1 << n) - 1) ^ ((2 << u) - 1) for u in range(n)]
@@ -233,7 +216,8 @@ def complete_magic(
         N[d][u] |= 1 << v
         N[d][v] |= 1 << u
         opened[u] ^= 1 << v
-    flat: list[int] = []  # per rank step: rank, x, u, v, witness, fork
+    new, tag = tuple.__new__, families.tag
+    steps: list[TraceStep] = []
     for rank, x, fam in families.schedule:
         Nx = N[x]
         for u in range(n):
@@ -261,17 +245,14 @@ def complete_magic(
                 for a, b in fam:
                     h |= N[a][u] & N[b][v]
                 w = (h & -h).bit_length() - 1
-                flat.extend((rank, x, u, v, w, row_u[w], dist[w][v]))
+                fork = (row_u[w], dist[w][v])
+                steps.append(new(TraceStep, (rank, x, u, v, w, fork, tag[fork])))
                 row_u[v] = dist[v][u] = x
                 Nx[v] |= 1 << u
 
-    trace = CompletionTrace._columns(
-        flat, families.tag, 2 * params.delta + 1, magic, opened, dist
-    )
+    trace = CompletionTrace(steps, (2 * params.delta + 1, magic, opened), dist)
     N[magic] = None  # it lacks the pairs left open; violations derives it
-    viol = violations(g, params, dist, N)
-    status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
-    return CompletionResult(status, trace, viol)
+    return CompletionResult(trace, violations(g, params, dist, N))
 
 
 def _decide_cycles(cycles, params: Params, magic: int) -> int:
@@ -383,9 +364,9 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
         triples.append((u, v, d))
     steps.sort(key=lambda s: (s.rank, s.u, s.v))
     final = EdgeLabelledGraph(n, triples)
-    viol = violations(final, params)
-    status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
-    return CompletionResult(status, CompletionTrace(steps, final), viol)
+    matrix = final.matrix()
+    trace = CompletionTrace(steps, None, matrix, final)
+    return CompletionResult(trace, violations(final, params, matrix))
 
 
 def _count_over_budget(base: int, exponent: int, budget: int) -> str | None:

@@ -73,7 +73,7 @@ def obstacle_trace(
 
     # the rank steps only: a magic-filled pair has no witness to expand
     trace = result.trace
-    step_by_pair = {(s.u, s.v): s for s in trace.listed_steps if s.witness is not None}
+    step_by_pair = {(s.u, s.v): s for s in trace.listed_steps}
     seed = result.violations[0]
     i, j, k = seed.vertices
 

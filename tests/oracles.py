@@ -194,9 +194,7 @@ def complete_magic_oracle(
 
     initial = violations_oracle(g, params)
     if initial:
-        return CompletionResult(
-            CompletionStatus.FAILED, CompletionTrace((), g), tuple(initial)
-        )
+        return CompletionResult(CompletionTrace((), None, g.matrix(), g), tuple(initial))
 
     n = g.vertex_count
     dist = g.matrix()
@@ -232,8 +230,7 @@ def complete_magic_oracle(
         n, [(u, v, dist[u][v]) for u in range(n) for v in range(u + 1, n)]
     )
     viol = violations_oracle(final, params)
-    status = CompletionStatus.COMPLETED if not viol else CompletionStatus.FAILED
-    return CompletionResult(status, CompletionTrace(tuple(steps), final), tuple(viol))
+    return CompletionResult(CompletionTrace(steps, None, dist, final), tuple(viol))
 
 
 def complete_json_oracle(params: Params, magic: int, result: CompletionResult) -> str:

@@ -520,6 +520,49 @@ class TestObstacles:
         assert code == 0
         assert target.read_text() == CATALOGUE_3
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "11", "--method", "substitution", "--verify"),
+            ("--n", "6", "--verify", "--budget", "50000"),
+            ("--n", "7", "--verify"),
+        ],
+        ids=["substitution-11", "budget-50000", "n-7"],
+    )
+    def test_verification_over_budget_writes_nothing(self, capsys, tmp_path, argv, to_file):
+        # the catalogue is verified before it is written: exit 3 leaves
+        # stdout empty, prints no summary and keeps an existing --output file
+        target = tmp_path / "keep.txt"
+        target.write_text("precious\n" * 100)
+        output = ("--output", str(target)) if to_file else ()
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15", *argv, *output
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.read_text() == "precious\n" * 100
+
+    def test_verification_outcomes_keep_their_bytes(self, capsys, monkeypatch):
+        # exit 0 and exit 1: the catalogue, its summary, then the verdict
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "3", "--verify",
+        )
+        assert (code, out) == (0, CATALOGUE_3)
+        assert err == "n=3: 21 cycles (exhaustive)\nverified: 21 entries, 20 sampled non-entries\n"
+        report = obstacles.CatalogueReport(False, 21, 0, "entry (1, 1, 1) completes")
+        monkeypatch.setattr(cli, "verify_catalogue", lambda catalogue, budget: report)
+        code, out, err = run(
+            capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
+            "--n", "3", "--verify",
+        )
+        assert (code, out) == (1, CATALOGUE_3)
+        assert err == (
+            "n=3: 21 cycles (exhaustive)\n"
+            "verification failed: entry (1, 1, 1) completes\n"
+        )
+
     def test_substitution_method(self, capsys):
         code, out, err = run(
             capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",

@@ -1,5 +1,6 @@
 """The magic completion engine, shortest-path baseline, and oracle."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from metric_completer import cli
 from metric_completer import (
     CapacityError,
+    CompletionResult,
     CompletionStatus,
     CompletionTrace,
     EdgeLabelledGraph,
@@ -345,7 +347,8 @@ class TestTraceStep:
         ]
         for step, tail, text in cases:
             # the step's record as the JSON writer renders it
-            trace = CompletionTrace([step], EdgeLabelledGraph(4))
+            g = EdgeLabelledGraph(4)
+            trace = CompletionTrace([step], None, g.matrix(), g)
             runs = cli._json_steps(trace, cli._numerals(trace, PAR))
             (record,) = json.loads("".join(cli._json_list(runs, 1)))
             head = dict(zip(self.FIELDS[:4], step[:4]))
@@ -700,6 +703,30 @@ class TestColumnarResult:
         assert trace.listed_steps is trace.listed_steps
 
 
+class TestCompletionResult:
+    def test_status_is_read_from_the_violations(self):
+        # a result holds its trace and violations only, so the status
+        # cannot disagree with them
+        assert [f.name for f in dataclasses.fields(CompletionResult)] == [
+            "trace",
+            "violations",
+        ]
+        failed = complete_magic(cycle_graph((1, 1, 6, 6, 5)), PAR, 4)
+        done = complete_magic(cycle_graph((1, 1, 1, 1)), PAR)
+        assert type(failed.violations) is type(done.violations) is ViolationView
+        cases = [
+            failed.violations,
+            done.violations,
+            tuple(failed.violations),
+            (),
+        ]
+        for found in cases:
+            res = CompletionResult(failed.trace, found)
+            want = CompletionStatus.FAILED if found else CompletionStatus.COMPLETED
+            assert res.status is want
+        assert [bool(found) for found in cases] == [True, False, True, False]
+
+
 class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(small_partial_graphs)
@@ -782,6 +809,31 @@ class TestShortestPath:
         assert type(res.violations) is ViolationView
         assert res.violations == violations_oracle(res.trace.final_graph, PAR)
         assert len(res.violations) == 4
+
+    def test_trace_serves_the_writers_readers(self):
+        # what the writers and the back-trace read of a shortest-path trace
+        # agrees with its final graph, on seeded connected graphs and a failure
+        rng = random.Random(20)
+        cases = [(cycle_graph((5, 5, 5, 5)), PAR)]
+        for n in (3, 4, 5, 6, 7, 40):
+            for delta in range(2, 6):
+                par = rng.choice([p for p in TRIPLES if p.delta == delta])
+                cases.append((random_tree_graph(rng, n, delta, 0.2), par))
+        for g, par in cases:
+            trace = shortest_path_completion(g, par).trace
+            final = trace.final_graph
+            n = final.vertex_count
+            assert trace.listed_steps == trace.steps
+            assert list(trace.final_rows()) == []
+            assert [
+                ((u, v), d) for u, vs, ds in trace.edge_rows() for v, d in zip(vs, ds)
+            ] == sorted(final.edges.items())
+            assert trace.vertex_count == n
+            assert all(
+                trace.distance(u, v) == final.distance(u, v)
+                for u in range(n)
+                for v in range(n)
+            )
 
 
 class TestOracle:

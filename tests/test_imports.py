@@ -2,7 +2,9 @@
 private name a library module defines is read by the library, no library
 module imports the test-only code, the library imports nothing beyond the
 standard library and itself, nor the gc module, one function classifies
-triangles, and a catalogue's entries are checked only where it is built."""
+triangles, a catalogue's entries are checked only where it is built, and a
+completion's trace and result are built only through their constructors,
+in the engine's module."""
 
 import ast
 import sys
@@ -228,10 +230,11 @@ def test_library_imports_only_stdlib(path):
     assert imports_beyond_stdlib(path.read_text()) == []
 
 
-def callers_of(sources: dict[str, str], name: str) -> list[str]:
+def callers_of(sources: dict[str, str], name: str, owner: str | None = None) -> list[str]:
     """``module:function`` for each call of ``name`` in ``sources``, by
     name or as an attribute, named after the innermost enclosing def;
-    a call outside any def is under ``<module>``."""
+    a call outside any def is under ``<module>``.  With ``owner``, only
+    the calls ``owner.name(...)`` count."""
     out = []
 
     def visit(node, module, where):
@@ -239,7 +242,11 @@ def callers_of(sources: dict[str, str], name: str) -> list[str]:
             where = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if owner is None:
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            else:
+                held = getattr(getattr(func, "value", None), "id", None)
+                called = getattr(func, "attr", None) if held == owner else None
             if called == name:
                 out.append(f"{module}:{where}")
         for child in ast.iter_child_nodes(node):
@@ -286,3 +293,29 @@ def test_catalogue_entries_are_canonicalized_only_where_built():
         "obstacles.py:__post_init__",
         "obstacles.py:enumerate_obstacle_cycles",
     ]
+
+
+def test_scan_finds_calls_through_an_owner():
+    sources = {
+        "a.py": (
+            "def make(cls):\n"
+            "    return object.__new__(cls)\n"
+            "def step():\n"
+            "    return tuple.__new__(T, (1,))\n"
+            "def outer():\n"
+            "    def inner():\n"
+            "        return object.__new__(T)\n"
+        ),
+    }
+    assert callers_of(sources, "__new__", "object") == ["a.py:make", "a.py:inner"]
+    assert callers_of(sources, "__new__") == ["a.py:make", "a.py:step", "a.py:inner"]
+
+
+def test_completion_results_are_built_by_their_constructors_in_completion():
+    # every producer builds the one trace form through its constructor, in
+    # the engine's module; only the graph's trusted constructor bypasses
+    # __init__
+    for name in ("CompletionTrace", "CompletionResult"):
+        callers = callers_of(LIBRARY, name)
+        assert callers and all(c.startswith("completion.py:") for c in callers), name
+    assert callers_of(LIBRARY, "__new__", "object") == ["graphs.py:_trusted"]
