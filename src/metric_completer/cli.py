@@ -196,18 +196,16 @@ _JSON_VIOLATION = """\
       "status": "%s"
     }"""
 
-def _json_list(runs, depth: int):
-    """Yield a JSON list that sits ``depth`` levels deep, one piece per run
-    of records.
+def _json_list(runs):
+    """Yield a JSON list at the payload's top level, one piece per run.
 
     ``runs`` yields ``(head, tail, values)``: one record ``head + value +
     tail`` per string in ``values``.  Each piece is one join over a run's
     records, led by the bracket or comma before them; a run of more than
     _JSON_CHUNK records is split into pieces of at most _JSON_CHUNK.
     """
-    inner = "\n" + "  " * (depth + 1)
-    sep = "," + inner
-    lead = "[" + inner  # what the next piece starts with
+    sep = ",\n    "
+    lead = "[\n    "  # what the next piece starts with
     for head, tail, values in runs:
         joint = tail + sep + head
         values = iter(values)
@@ -216,7 +214,7 @@ def _json_list(runs, depth: int):
             take[-1] += tail
             yield joint.join(take)
             lead = sep
-    yield "[]" if lead != sep else "\n" + "  " * depth + "]"
+    yield "[]" if lead != sep else "\n  ]"
 
 
 def _json_steps(trace, numerals):
@@ -259,14 +257,14 @@ def _complete_json(params, magic, result):
     trace = result.trace
     yield _JSON_HEAD % (params.delta, params.k, params.c, magic, result.status.value)
     numerals = _numerals(trace, params)
-    yield from _json_list(_json_steps(trace, numerals), 1)
+    yield from _json_list(_json_steps(trace, numerals))
     yield ',\n  "edges": '
-    yield from _json_list(_json_edges(trace, numerals), 1)
+    yield from _json_list(_json_edges(trace, numerals))
     yield ',\n  "violations": '
     yield from _json_list([("", "", (
         _JSON_VIOLATION % (*v.vertices, *v.distances, v.status.value)
         for v in result.violations
-    ))], 1)
+    ))])
     yield "\n}"
 
 
@@ -363,6 +361,17 @@ def cmd_trace_obstacle(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    """The value of --budget: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_param_flags(sub, required: bool):
     sub.add_argument("--delta", type=int, required=required, default=None)
     sub.add_argument("--k", type=int, required=required, default=None)
@@ -396,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obst.add_argument("--method", choices=METHODS, default="exhaustive")
     p_obst.add_argument("--verify", action="store_true",
                         help="cross-check the catalogue against the oracle")
-    p_obst.add_argument("--budget", type=int, default=10**8,
+    p_obst.add_argument("--budget", type=_budget, default=10**8,
                         help="oracle assignment cap, and cap on the "
                              "delta^n label sequences the exhaustive method "
                              "walks or the candidate cycles the substitution "

@@ -330,15 +330,16 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
     """Fill every non-edge with its path distance capped at delta.
 
     Disconnected pairs get delta.  Existing edges are kept as they are.  A
-    graph of more than MAX_VERTICES vertices raises CapacityError before
-    anything is allocated, and a label above delta raises RangeError.
+    graph of more than MAX_VERTICES vertices raises CapacityError, and a
+    label above delta RangeError, before anything is allocated.
     """
     n = g.vertex_count
     if n > MAX_VERTICES:
         raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
-    _check_distance(max(g.edges.values(), default=1), params.delta)
-    big = float("inf")
-    dist = [[big] * n for _ in range(n)]
+    delta = params.delta
+    _check_distance(max(g.edges.values(), default=1), delta)
+    # Floyd's pass: no entry exceeds delta, so a leg at delta shortens nothing
+    dist = [[delta] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
     for (u, v), d in g.edges.items():
@@ -347,7 +348,7 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
         row_w = dist[w]
         for u in range(n):
             duw = dist[u][w]
-            if duw is big:
+            if duw >= delta:
                 continue
             row_u = dist[u]
             for v in range(n):
@@ -355,18 +356,16 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
                 if alt < row_u[v]:
                     row_u[v] = alt
     steps = []
-    triples = []
     for u, v in itertools.combinations(range(n), 2):
-        d = g.distance(u, v)
+        d = g.edges.get((u, v))
         if d is None:
-            d = int(min(dist[u][v], params.delta))
+            d = dist[u][v]
             steps.append(TraceStep(d, d, u, v, None, None, Family.PATH))
-        triples.append((u, v, d))
-    steps.sort(key=lambda s: (s.rank, s.u, s.v))
-    final = EdgeLabelledGraph(n, triples)
-    matrix = final.matrix()
-    trace = CompletionTrace(steps, None, matrix, final)
-    return CompletionResult(trace, violations(final, params, matrix))
+        else:  # the pass may have shortened it; the input's label stays
+            dist[u][v] = dist[v][u] = d
+    steps.sort(key=lambda s: s.rank)  # stable: pair order within a rank
+    trace = CompletionTrace(steps, None, dist)
+    return CompletionResult(trace, violations(trace.final_graph, params, dist))
 
 
 def _count_over_budget(base: int, exponent: int, budget: int) -> str | None:
@@ -419,21 +418,18 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
         row_u = dist[u]
         row_v = dist[v]
         for val in range(1, delta + 1):
-            ok = True
             for w in range(n):
                 if w == u or w == v:
                     continue
                 a = row_u[w]
                 b = row_v[w]
                 if a and b and bad[a][b][val] is not None:
-                    ok = False
                     break
-            if ok:
+            else:
                 row_u[v] = row_v[u] = val
                 values[i] = val
                 yield from search(i + 1)
                 row_u[v] = row_v[u] = 0
-        return
 
     yield from search(0)
 

@@ -270,13 +270,13 @@ def violations(
 
     Below BITSET_MIN_VERTICES vertices each edge (i, j) walks the rows
     ``matrix[i][j+1:]`` and ``matrix[j][j+1:]`` (_row_scan).  From there on
-    one walk reads bitsets (_walk): ``bits``, or per-label ones built from
-    ``g.edges`` in one pass.  It skips the pairs no forbidden triangle can
-    need.  Without a None entry those are the holes, the pairs no label
-    holds.  With one, of a label m whose triangles (m, m, x) are all
-    allowed, as the engine's magic distance is, they are the pairs at m
-    with no third vertex off m on both sides; for any other m it walks
-    every pair.  Both scans yield the same triangles in the same order.
+    one walk reads per-label bitsets (_walk), set up in one place from
+    ``bits`` or from ones first built from ``g.edges``.  It skips the pairs
+    no forbidden triangle can need: without a None entry the holes, as a
+    free label m = 0; with one, of a label m with every triangle (m, m, x)
+    allowed, as at the engine's magic distance, the pairs at m with no
+    third vertex off m on both sides, and for any other m none.  Both scans
+    yield the same triangles in the same order.
     """
     n = g.vertex_count
     dist = g.matrix() if matrix is None else matrix
@@ -285,17 +285,12 @@ def violations(
         _check_distance(max(g.edges.values(), default=1), params.delta)
     if n < BITSET_MIN_VERTICES:
         scan, args = _row_scan, (dist, bad)
-    elif bits is None:
-        near = [0] * n
-        rows = [[0] * n for _ in forbidden]
-        for (u, v), d in g.edges.items():
-            row = rows[d]
-            row[u] |= 1 << v
-            row[v] |= 1 << u
-            near[u] |= 1 << v
-            near[v] |= 1 << u
-        scan, args = _walk, (dist, near, rows, bad, forbidden, True)
     else:
+        if bits is None:
+            bits = [[0] * n for _ in forbidden]
+            for (u, v), d in g.edges.items():
+                bits[d][u] |= 1 << v
+                bits[d][v] |= 1 << u
         rows = list(bits)
         m = rows.index(None, 1) if None in rows[1:] else 0
         near = [1 << u for u in range(n)]  # bit v: v == u or (u, v) not at m

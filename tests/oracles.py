@@ -9,6 +9,7 @@ import json
 import random
 
 from metric_completer import (
+    CapacityError,
     CompletionResult,
     CompletionStatus,
     CompletionTrace,
@@ -26,8 +27,11 @@ from metric_completer import (
     cycle_graph,
     fork_families,
     oracle_completions,
+    violations,
 )
+from metric_completer.completion import MAX_VERTICES
 from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE
+from metric_completer.params import _check_distance
 
 
 def magic_oracle(params: Params) -> tuple[int, ...]:
@@ -231,6 +235,48 @@ def complete_magic_oracle(
     )
     viol = violations_oracle(final, params)
     return CompletionResult(CompletionTrace(steps, None, dist, final), tuple(viol))
+
+
+def shortest_path_oracle(g: EdgeLabelledGraph, params: Params) -> CompletionResult:
+    """shortest_path_completion the direct way: Floyd's all-pairs loop on a
+    float matrix with an infinity sentinel, each hole capped at delta
+    afterwards, the final graph through the checked constructor and its
+    violations on its own matrix.  The same caps and label check come first.
+    """
+    n = g.vertex_count
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
+    _check_distance(max(g.edges.values(), default=1), params.delta)
+    big = float("inf")
+    dist = [[big] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for (u, v), d in g.edges.items():
+        dist[u][v] = dist[v][u] = d
+    for w in range(n):
+        row_w = dist[w]
+        for u in range(n):
+            duw = dist[u][w]
+            if duw is big:
+                continue
+            row_u = dist[u]
+            for v in range(n):
+                alt = duw + row_w[v]
+                if alt < row_u[v]:
+                    row_u[v] = alt
+    steps = []
+    triples = []
+    for u, v in itertools.combinations(range(n), 2):
+        d = g.distance(u, v)
+        if d is None:
+            d = int(min(dist[u][v], params.delta))
+            steps.append(TraceStep(d, d, u, v, None, None, Family.PATH))
+        triples.append((u, v, d))
+    steps.sort(key=lambda s: (s.rank, s.u, s.v))
+    final = EdgeLabelledGraph(n, triples)
+    matrix = final.matrix()
+    trace = CompletionTrace(steps, None, matrix, final)
+    return CompletionResult(trace, violations(final, params, matrix))
 
 
 def complete_json_oracle(params: Params, magic: int, result: CompletionResult) -> str:

@@ -355,6 +355,38 @@ def test_criterion_11_shortest_path_equivalence():
     assert time.perf_counter() - start < 60
 
 
+def test_criterion_11_from_the_bitset_threshold():
+    # criterion 11 on 32..48 vertices, where both of the engine's checks and
+    # the baseline's walk bitsets.  Each input is a tree plus 1-4 chords from
+    # a vertex to its great-grandparent: it has no triangle, and a chord
+    # longer than its tree path makes it fail
+    rng = random.Random(7)
+    seen = set()
+    for delta in (2, 3, 4, 5):
+        par = Params(delta, 1, 3 * delta + 1)
+        for _ in range(40):
+            n = rng.randint(32, 48)
+            parent = [None] + [rng.randrange(v) for v in range(1, n)]
+            edges = [(parent[v], v, rng.randint(1, delta)) for v in range(1, n)]
+            # v has a great-grandparent when neither its parent nor its
+            # grandparent is the root, 0
+            up3 = {
+                v: parent[parent[parent[v]]]
+                for v in range(1, n)
+                if parent[v] and parent[parent[v]]
+            }
+            for v in rng.sample(sorted(up3), min(len(up3), rng.randint(1, 4))):
+                edges.append((v, up3[v], rng.randint(1, delta)))
+            g = EdgeLabelledGraph(n, edges)
+            via_magic = complete_magic(g, par, delta)
+            via_paths = shortest_path_completion(g, par)
+            assert via_magic.status is via_paths.status
+            if via_paths.status is CompletionStatus.COMPLETED:
+                assert via_magic.trace.final_graph == via_paths.trace.final_graph
+            seen.add(via_paths.status)
+    assert seen == set(CompletionStatus)
+
+
 def _eppa_by_enumeration(a, b, inclusion):
     """Ground-truth witness check by direct exhaustion, no library calls."""
     m = b.vertex_count

@@ -600,6 +600,22 @@ class TestObstacles:
         assert code == 3
         assert err == "error: 46656 label sequences exceed the budget of 10\n"
 
+    @pytest.mark.parametrize("budget, method, error", [
+        ("-5", "exhaustive", "must be at least 1, not -5"),
+        ("0", "substitution", "must be at least 1, not 0"),
+        ("1e3", "exhaustive", "invalid int value: '1e3'"),
+    ])
+    def test_budget_below_one_or_not_an_int_is_a_usage_error(
+        self, capsys, budget, method, error
+    ):
+        # refused by the parser, before any work is counted against it
+        with pytest.raises(SystemExit) as exc:
+            main(["obstacles", "--delta", "6", "--k", "2", "--c", "15",
+                  "--n", "5", "--method", method, "--budget", budget])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.endswith(f"obstacles: error: argument --budget: {error}\n")
+
     @pytest.mark.parametrize("n", ["6000", "100000000"])
     def test_huge_cycle_length_is_refused_at_once(self, capsys, n):
         code, out, err = run(

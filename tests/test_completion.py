@@ -44,6 +44,7 @@ from oracles import (
     complete_magic_oracle,
     label_bits,
     oracle_value_ranges,
+    shortest_path_oracle,
     violations_oracle,
 )
 
@@ -350,7 +351,7 @@ class TestTraceStep:
             g = EdgeLabelledGraph(4)
             trace = CompletionTrace([step], None, g.matrix(), g)
             runs = cli._json_steps(trace, cli._numerals(trace, PAR))
-            (record,) = json.loads("".join(cli._json_list(runs, 1)))
+            (record,) = json.loads("".join(cli._json_list(runs)))
             head = dict(zip(self.FIELDS[:4], step[:4]))
             assert record == {**head, **tail}
             assert list(record) == list(self.FIELDS)
@@ -739,12 +740,10 @@ class TestProperties:
             done = complete_magic(g, par, magic).status is CompletionStatus.COMPLETED
             assert done == completable, (par, magic, g)
 
-    @settings(max_examples=300, deadline=None)
-    @given(graphs_with_relabelling)
-    def test_relabelling_commutes_with_completion(self, case):
+    @staticmethod
+    def check_relabelling_commutes(par, magic, g, perm):
         # which witness is found depends on vertex order, the value a pair
         # gets does not: so the final graph and status follow the relabelling
-        par, magic, (g, perm) = case
         res = complete_magic(g, par, magic)
         moved = complete_magic(relabel(g, perm), par, magic)
         assert moved.status is res.status
@@ -756,6 +755,30 @@ class TestProperties:
         assert triangles == {
             (frozenset(v.vertices), v.distances, v.status) for v in moved.violations
         }
+        return res
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_relabelling)
+    def test_relabelling_commutes_with_completion(self, case):
+        par, magic, (g, perm) = case
+        self.check_relabelling_commutes(par, magic, g, perm)
+
+    def test_relabelling_commutes_from_the_bitset_threshold(self):
+        # the same property on 32..80 vertices, where the engine's input
+        # check and final check both walk bitsets: trees with a few extra
+        # pairs pass the input check, and some of them fail the final one
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(60):
+            par = rng.choice(TRIPLES)
+            n = rng.randint(BITSET_MIN_VERTICES, 80)
+            g = random_tree_graph(rng, n, par.delta, rng.choice((0.0, 0.01)))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            magic = rng.choice(magic_distances(par))
+            res = self.check_relabelling_commutes(par, magic, g, perm)
+            seen.add((bool(violations(g, par)), res.status))
+        assert {(False, status) for status in CompletionStatus} <= seen
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_relabelling)
@@ -809,6 +832,28 @@ class TestShortestPath:
         assert type(res.violations) is ViolationView
         assert res.violations == violations_oracle(res.trace.final_graph, PAR)
         assert len(res.violations) == 4
+
+    def test_matches_the_reference(self):
+        # the capped integer pass against the float Floyd loop it replaced,
+        # on seeded graphs from empty to complete, disconnected ones included
+        rng = random.Random(21)
+        for n in (*range(9), 31, 32, 40):
+            for delta in range(2, 8):
+                k = rng.randint(1, delta)
+                par = Params(delta, k, rng.randint(2 * delta + k + 1, 3 * delta + 1))
+                for density in (0.0, 0.1, 0.3, 0.6, 0.9, 1.0):
+                    g = EdgeLabelledGraph(n, [
+                        (u, v, rng.randint(1, delta))
+                        for u, v in itertools.combinations(range(n), 2)
+                        if rng.random() < density
+                    ])
+                    res = shortest_path_completion(g, par)
+                    ref = shortest_path_oracle(g, par)
+                    assert res.trace.steps == ref.trace.steps, (n, par, density)
+                    assert res.trace.final_graph == ref.trace.final_graph
+                    assert list(res.violations) == list(ref.violations)
+                    assert res.status is ref.status
+                    assert list(res.trace.edge_rows()) == list(ref.trace.edge_rows())
 
     def test_trace_serves_the_writers_readers(self):
         # what the writers and the back-trace read of a shortest-path trace

@@ -2,9 +2,10 @@
 private name a library module defines is read by the library, no library
 module imports the test-only code, the library imports nothing beyond the
 standard library and itself, nor the gc module, one function classifies
-triangles, a catalogue's entries are checked only where it is built, and a
+triangles, a catalogue's entries are checked only where it is built, a
 completion's trace and result are built only through their constructors,
-in the engine's module."""
+in the engine's module, and that module builds no graph through the
+checked constructor."""
 
 import ast
 import sys
@@ -319,3 +320,10 @@ def test_completion_results_are_built_by_their_constructors_in_completion():
         callers = callers_of(LIBRARY, name)
         assert callers and all(c.startswith("completion.py:") for c in callers), name
     assert callers_of(LIBRARY, "__new__", "object") == ["graphs.py:_trusted"]
+
+
+def test_completion_builds_no_graph_through_the_checked_constructor():
+    # every graph the engine's module builds comes from input it has checked
+    # already, so it takes the trusted constructor
+    callers = callers_of(LIBRARY, "EdgeLabelledGraph")
+    assert [c for c in callers if c.startswith("completion.py:")] == []
