@@ -19,6 +19,11 @@ class CompletionStatus(Enum):
     FAILED = "failed"
 
 
+# read once: on Python 3.11 an enum member lookup costs more than deciding the status
+_COMPLETED = CompletionStatus.COMPLETED
+_FAILED = CompletionStatus.FAILED
+
+
 class TraceStep(NamedTuple):
     """One inserted distance.  A tuple of its fields, so a step equals the
     plain tuple of the same values; the engine and CompletionTrace build it
@@ -153,7 +158,7 @@ class CompletionResult:
 
     @property
     def status(self) -> CompletionStatus:
-        return CompletionStatus.FAILED if self.violations else CompletionStatus.COMPLETED
+        return _FAILED if self.violations else _COMPLETED
 
 
 MAX_VERTICES = 1000
@@ -391,6 +396,12 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
     matrix, so each new vertex is fully connected before the next one starts,
     and each is tried with the values 1..delta in ascending order.  A
     completion is ``g``'s edges followed by the holes in that order.
+
+    The search is one loop over a position i: ``values[i]`` is the value
+    hole i holds, 0 before its first.  A hole is open, 0 in the matrix,
+    while its next value is chosen, and so are the holes after it; an index
+    of 0 reads None in the triangle table, so the check runs over the two
+    whole rows of the hole's ends.
     """
     delta = params.delta
     n = g.vertex_count
@@ -407,31 +418,31 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
     pairs = [(u, v) for v in range(n) for u in range(v) if not dist[u][v]]
     bad = _triangle_table(params)[0]
     values = [0] * holes
-
-    def search(i: int):
+    i = 0
+    while i >= 0:
         if i == holes:
             edges = dict(g.edges)
             edges.update(zip(pairs, values))
             yield EdgeLabelledGraph._trusted(n, edges)
-            return
+            i -= 1
+            continue
         u, v = pairs[i]
         row_u = dist[u]
         row_v = dist[v]
-        for val in range(1, delta + 1):
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                a = row_u[w]
-                b = row_v[w]
-                if a and b and bad[a][b][val] is not None:
+        row_u[v] = row_v[u] = 0
+        val = values[i]
+        while val < delta:
+            val += 1
+            for a, b in zip(row_u, row_v):
+                if bad[a][b][val] is not None:
                     break
             else:
-                row_u[v] = row_v[u] = val
-                values[i] = val
-                yield from search(i + 1)
-                row_u[v] = row_v[u] = 0
-
-    yield from search(0)
+                values[i] = row_u[v] = row_v[u] = val
+                i += 1
+                break
+        else:
+            values[i] = 0
+            i -= 1
 
 
 def oracle_complete(

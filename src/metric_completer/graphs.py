@@ -282,7 +282,9 @@ def violations(
     dist = g.matrix() if matrix is None else matrix
     bad, forbidden = _triangle_table(params)
     if bits is None:
-        _check_distance(max(g.edges.values(), default=1), params.delta)
+        top = max(g.edges.values(), default=1)
+        if top > params.delta:
+            _check_distance(top, params.delta)
     if n < BITSET_MIN_VERTICES:
         scan, args = _row_scan, (dist, bad)
     else:
@@ -402,31 +404,48 @@ def _distance_maps(source: EdgeLabelledGraph, target: EdgeLabelledGraph, embed: 
 
     With ``embed`` non-edges must map to non-edges too; as distinct vertices
     are never at distance 0, that also makes the map injective.
+
+    The search is one loop over a position i: ``images[i]`` is the
+    candidate vertex i is tried at, -1 before its first, and candidates are
+    tried in ascending order, each against the vertices j < i it must keep
+    its distance to.
     """
     n = source.vertex_count
     m = target.vertex_count
-    rows = [[target.distance(x, y) for y in range(m)] for x in range(m)]
-    constraints = [
-        [(j, d) for j in range(i) if (d := source.distance(j, i)) is not None or embed]
-        for i in range(n)
-    ]
-    images = [0] * n
-
-    def extend(i: int):
+    rows = [[None] * m for _ in range(m)]  # rows[x][y] is target.distance(x, y)
+    for x in range(m):
+        rows[x][x] = 0
+    for (x, y), d in target.edges.items():
+        rows[x][y] = rows[y][x] = d
+    # vertex i keeps its distance d to each j < i: its edges, and with embed
+    # its non-edges too, at None
+    keep = [dict.fromkeys(range(i)) if embed else {} for i in range(n)]
+    for (j, i), d in source.edges.items():
+        keep[i][j] = d
+    constraints = [list(c.items()) for c in keep]
+    images = [-1] * n
+    i = 0
+    while i >= 0:
         if i == n:
             yield tuple(images)
-            return
+            i -= 1
+            continue
         checks = constraints[i]
-        for candidate in range(m):
+        candidate = images[i]
+        while True:
+            candidate += 1
+            if candidate == m:
+                images[i] = -1
+                i -= 1
+                break
             row = rows[candidate]
             for j, d in checks:  # a plain loop: all() over a generator is ~3x slower
                 if row[images[j]] != d:
                     break
             else:
                 images[i] = candidate
-                yield from extend(i + 1)
-
-    return extend(0)
+                i += 1
+                break
 
 
 def find_homomorphism(source: EdgeLabelledGraph, target: EdgeLabelledGraph):

@@ -29,9 +29,9 @@ from metric_completer import (
     oracle_completions,
     violations,
 )
-from metric_completer.completion import MAX_VERTICES
+from metric_completer.completion import MAX_VERTICES, _count_over_budget
 from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE
-from metric_completer.params import _check_distance
+from metric_completer.params import _check_distance, _triangle_table
 
 
 def magic_oracle(params: Params) -> tuple[int, ...]:
@@ -339,3 +339,97 @@ def oracle_value_ranges(g: EdgeLabelledGraph, params: Params, budget: int = 10**
     return count, {
         pair: (lows[i], highs[i]) for i, pair in enumerate(pairs)
     }
+
+
+def sweep_universe(delta: int) -> list[EdgeLabelledGraph]:
+    """The graphs of the criteria-7/8/10 sweep at one delta: every partial
+    graph on at most 4 vertices with labels in 1..delta, then every
+    canonical cycle of length 5 and 6, in the acceptance fixture's order."""
+    out = []
+    for n in (1, 2, 3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for labels in itertools.product(range(delta + 1), repeat=len(pairs)):
+            out.append(EdgeLabelledGraph(n, [(u, v, d) for (u, v), d in zip(pairs, labels) if d]))
+    for n in (5, 6):
+        cycles = {canonical_cycle(seq) for seq in itertools.product(range(1, delta + 1), repeat=n)}
+        out.extend(cycle_graph(cyc) for cyc in sorted(cycles))
+    return out
+
+
+def oracle_completions_reference(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):
+    """oracle_completions as a recursive generator, one frame per hole: the
+    same budget and input checks, holes in the same column-by-column order,
+    values tried in ascending order.  The reference for the library's
+    single-loop search."""
+    delta = params.delta
+    n = g.vertex_count
+    holes = n * (n - 1) // 2 - len(g.edges)
+    count = _count_over_budget(delta, holes, budget) if holes else None
+    if count is not None:
+        raise CapacityError(
+            f"{holes} unset pairs mean {count} assignments, "
+            f"over the budget of {budget}"
+        )
+    dist = g.matrix()
+    if violations(g, params, dist):
+        return
+    pairs = [(u, v) for v in range(n) for u in range(v) if not dist[u][v]]
+    bad = _triangle_table(params)[0]
+    values = [0] * holes
+
+    def search(i: int):
+        if i == holes:
+            edges = dict(g.edges)
+            edges.update(zip(pairs, values))
+            yield EdgeLabelledGraph._trusted(n, edges)
+            return
+        u, v = pairs[i]
+        row_u = dist[u]
+        row_v = dist[v]
+        for val in range(1, delta + 1):
+            for w in range(n):
+                if w == u or w == v:
+                    continue
+                a = row_u[w]
+                b = row_v[w]
+                if a and b and bad[a][b][val] is not None:
+                    break
+            else:
+                row_u[v] = row_v[u] = val
+                values[i] = val
+                yield from search(i + 1)
+                row_u[v] = row_v[u] = 0
+
+    yield from search(0)
+
+
+def distance_maps_reference(source: EdgeLabelledGraph, target: EdgeLabelledGraph, embed: bool):
+    """graphs._distance_maps as a recursive generator, one frame per source
+    vertex, reading each distance with EdgeLabelledGraph.distance: the maps
+    of ``source`` into ``target`` that keep every defined distance (and,
+    with ``embed``, every non-edge), in lexicographic image order.  The
+    reference for the library's single-loop search."""
+    n = source.vertex_count
+    m = target.vertex_count
+    rows = [[target.distance(x, y) for y in range(m)] for x in range(m)]
+    constraints = [
+        [(j, d) for j in range(i) if (d := source.distance(j, i)) is not None or embed]
+        for i in range(n)
+    ]
+    images = [0] * n
+
+    def extend(i: int):
+        if i == n:
+            yield tuple(images)
+            return
+        checks = constraints[i]
+        for candidate in range(m):
+            row = rows[candidate]
+            for j, d in checks:
+                if row[images[j]] != d:
+                    break
+            else:
+                images[i] = candidate
+                yield from extend(i + 1)
+
+    return extend(0)

@@ -234,9 +234,9 @@ def oracle_sweep():
                         continue
                     if not done:
                         continue
-                    final = res.trace.final_graph
+                    dist = res.trace.final_graph.matrix()  # built once per completion
                     for u, v in holes:
-                        mid = final.distance(u, v)
+                        mid = dist[u][v]
                         if mid > magic:
                             wrong = range(1, mid)
                         elif mid < magic:
@@ -256,11 +256,9 @@ def oracle_sweep():
                                 )
                             if pinned_cache[key]:
                                 sandwich_bad.append((par, magic, g, (u, v), w))
+                    pairs = list(itertools.combinations(range(g.vertex_count), 2))
                     for phi in autos:
-                        if any(
-                            final.distance(phi[u], phi[v]) != final.distance(u, v)
-                            for u, v in final.pairs()
-                        ):
+                        if any(dist[phi[u]][phi[v]] != dist[u][v] for u, v in pairs):
                             auto_bad.append((par, magic, g, phi))
     return {
         "decision": decision_bad,

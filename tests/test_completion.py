@@ -43,8 +43,10 @@ from metric_completer.params import _triangle_table
 from oracles import (
     complete_magic_oracle,
     label_bits,
+    oracle_completions_reference,
     oracle_value_ranges,
     shortest_path_oracle,
+    sweep_universe,
     violations_oracle,
 )
 
@@ -961,6 +963,37 @@ class TestOracle:
             (4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3), (6, 1), (6, 2),
         ]
         assert {tuple(c.edges) for c in found} == {((0, 2), (0, 1), (1, 2))}
+
+    @pytest.mark.slow
+    def test_every_completion_matches_the_recursive_search(self):
+        # the single-loop search against the recursive one it replaced: the
+        # same graphs, edges in the same order, yielded in the same order, on
+        # the whole delta <= 3 sweep universe at every acceptable triple
+        end = object()
+        for delta in (2, 3):
+            universe = sweep_universe(delta)
+            for par in (p for p in TRIPLES if p.delta == delta):
+                for g in universe:
+                    pairs = itertools.zip_longest(
+                        oracle_completions(g, par),
+                        oracle_completions_reference(g, par),
+                        fillvalue=end,
+                    )
+                    for got, want in pairs:
+                        assert got == want, (par, g)
+                        assert list(got.edges.items()) == list(want.edges.items())
+
+    @pytest.mark.slow
+    def test_first_completions_match_the_recursive_search_at_delta_4(self):
+        universe = sweep_universe(4)
+        for par in (p for p in TRIPLES if p.delta == 4):
+            for g in universe:
+                got = list(itertools.islice(oracle_completions(g, par), 20))
+                want = list(itertools.islice(oracle_completions_reference(g, par), 20))
+                assert got == want, (par, g)
+                assert [list(c.edges.items()) for c in got] == [
+                    list(c.edges.items()) for c in want
+                ]
 
     def test_budget_shortcut_builds_no_power(self):
         class NoPower(int):

@@ -35,7 +35,13 @@ from metric_completer import graphs
 from metric_completer.graphs import BITSET_MIN_VERTICES
 from metric_completer.params import _triangle_table
 
-from oracles import automorphisms_oracle, label_bits, violations_oracle
+from oracles import (
+    automorphisms_oracle,
+    distance_maps_reference,
+    label_bits,
+    sweep_universe,
+    violations_oracle,
+)
 
 PAR = Params(6, 2, 15)
 
@@ -455,6 +461,45 @@ class TestHomomorphism:
                 continue
             for (u, v), d in src.edges.items():
                 assert dst.distance(hom[u], hom[v]) == d
+
+    def test_long_path_needs_no_recursion(self):
+        # one search frame for any source size: a 1500-vertex path with one
+        # label folds onto its first edge, deeper than the interpreter's
+        # default recursion limit of 1000 frames
+        n = 1500
+        path = EdgeLabelledGraph(n, [(v, v + 1, 2) for v in range(n - 1)])
+        hom = find_homomorphism(path, path)
+        assert hom == (0, 1) * (n // 2)
+        for (u, v), d in path.edges.items():
+            assert path.distance(hom[u], hom[v]) == d
+
+
+class TestDistanceMapSearch:
+    @pytest.mark.slow
+    def test_matches_the_recursive_search_on_the_sweep_universe(self):
+        # the single-loop search against the recursive one it replaced, on
+        # every delta <= 3 sweep graph: its automorphisms, its partial
+        # automorphisms, and every map into itself and into a second graph
+        # of the universe, in order
+        for delta in (2, 3):
+            universe = sweep_universe(delta)
+            for index, g in enumerate(universe):
+                other = universe[index * 7919 % len(universe)]
+                assert automorphisms(g) == list(distance_maps_reference(g, g, True)), g
+                for h in (g, other):
+                    got = graphs._distance_maps(g, h, embed=False)
+                    assert list(got) == list(distance_maps_reference(g, h, False)), (g, h)
+                    assert find_homomorphism(g, h) == next(
+                        distance_maps_reference(g, h, False), None
+                    )
+                if g.vertex_count <= graphs.MAX_PARTIAL_AUTOMORPHISM_VERTICES:
+                    n = g.vertex_count
+                    assert partial_automorphisms(g) == [
+                        dict(zip(dom, images))
+                        for size in range(n + 1)
+                        for dom in itertools.combinations(range(n), size)
+                        for images in distance_maps_reference(g.induced(dom), g, True)
+                    ], g
 
 
 class TestAutomorphisms:
