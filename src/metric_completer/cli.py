@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import compress, islice
-from operator import getitem, itemgetter
+from operator import getitem
 
 from .completion import CompletionStatus, Family, complete_magic
 from .errors import (
@@ -160,12 +160,8 @@ _JSON_STEP = """\
       "fork": %s,
       "family": "%s"
     }"""
-# _JSON_STEP split around the value of "v", and the getters that part a
-# TraceStep the same way
-_JSON_STEP_HEAD, _JSON_STEP_TAIL = _JSON_STEP.split('"v": %d')
-_JSON_STEP_HEAD += '"v": '
-_ALL_BUT_V = itemgetter(0, 1, 2, 4, 5, 6)
-_V = itemgetter(3)
+# _JSON_STEP split at its last %d, the value of "v", for the magic-filled rows
+_JSON_STEP_HEAD, _JSON_STEP_TAIL = _JSON_STEP.rsplit("%d", 1)
 _JSON_FINAL_TAIL = _JSON_STEP_TAIL % ("null", "null", Family.FINAL.value)
 _JSON_FORK = """\
 [
@@ -199,41 +195,36 @@ _JSON_VIOLATION = """\
 def _json_list(runs):
     """Yield a JSON list at the payload's top level, one piece per run.
 
-    ``runs`` yields ``(head, tail, values)``: one record ``head + value +
-    tail`` per string in ``values``.  Each piece is one join over a run's
-    records, led by the bracket or comma before them; a run of more than
-    _JSON_CHUNK records is split into pieces of at most _JSON_CHUNK.
+    ``runs`` yields ``(head, values)``: one record ``head + value`` per
+    string in ``values``.  Each piece is one join over a run's records, led
+    by the bracket or comma before them; a run of more than _JSON_CHUNK
+    records is split into pieces of at most _JSON_CHUNK.
     """
     sep = ",\n    "
     lead = "[\n    "  # what the next piece starts with
-    for head, tail, values in runs:
-        joint = tail + sep + head
+    for head, values in runs:
+        joint = sep + head
         values = iter(values)
         while take := list(islice(values, _JSON_CHUNK)):
-            take[0] = lead + head + take[0]
-            take[-1] += tail
-            yield joint.join(take)
+            yield lead + head + joint.join(take)
             lead = sep
     yield "[]" if lead != sep else "\n  ]"
 
 
 def _json_steps(trace, numerals):
-    """The runs of _json_list for the trace's steps: each run of listed
-    steps that differ only in v, then each row of magic-filled steps; each
-    v is written as ``numerals[v]``."""
-    for (rank, distance, u, witness, fork, family), run in itertools.groupby(
-        trace.listed_steps, _ALL_BUT_V
-    ):
-        tail = _JSON_STEP_TAIL % (
-            "null" if witness is None else witness,
-            "null" if fork is None else _JSON_FORK % fork,
-            family.value,
-        )
-        values = map(numerals.__getitem__, map(_V, run))
-        yield _JSON_STEP_HEAD % (rank, distance, u), tail, values
+    """The runs of _json_list for the trace's steps: one run of the listed
+    steps, a whole _JSON_STEP record each, then one run per row of
+    magic-filled steps, whose values are ``numerals[v]`` each followed by
+    _JSON_FINAL_TAIL, the rest of the record, which is the same for all."""
+    yield "", (
+        _JSON_STEP % (*step[:4], "null" if step.witness is None else step.witness,
+                      "null" if step.fork is None else _JSON_FORK % step.fork,
+                      step.family.value)
+        for step in trace.listed_steps
+    )
+    final_values = [x + _JSON_FINAL_TAIL for x in numerals]
     for rank, distance, u, flags in trace.final_rows():
-        head = _JSON_STEP_HEAD % (rank, distance, u)
-        yield head, _JSON_FINAL_TAIL, compress(numerals, flags)
+        yield _JSON_STEP_HEAD % (rank, distance, u), compress(final_values, flags)
 
 
 def _json_edges(trace, numerals):
@@ -248,7 +239,7 @@ def _json_edges(trace, numerals):
                 tail = _JSON_EDGE_V + numerals[d] + _JSON_EDGE_CLOSE
                 after_u[d] = [v + tail for v in vertices]
         head = _JSON_EDGE_OPEN + numerals[u] + _JSON_EDGE_U
-        yield head, "", map(getitem, map(after_u.__getitem__, ds), vs)
+        yield head, map(getitem, map(after_u.__getitem__, ds), vs)
 
 
 def _complete_json(params, magic, result):
@@ -261,7 +252,7 @@ def _complete_json(params, magic, result):
     yield ',\n  "edges": '
     yield from _json_list(_json_edges(trace, numerals))
     yield ',\n  "violations": '
-    yield from _json_list([("", "", (
+    yield from _json_list([("", (
         _JSON_VIOLATION % (*v.vertices, *v.distances, v.status.value)
         for v in result.violations
     ))])
@@ -277,13 +268,13 @@ def _complete_dot(result):
     fill = next(fills, None)
     yield "graph completion {"
     for u, vs, ds in trace.edge_rows():
-        filled, final_rank = (), None
+        flags, final_rank = b"", None
         if fill is not None and fill[2] == u:
-            final_rank, filled = fill[0], set(compress(itertools.count(), fill[3]))
+            final_rank, flags = fill[0], fill[3]
             fill = next(fills, None)
         lines = []
         for v, d in zip(vs, ds):
-            rank = final_rank if v in filled else ranks.get((u, v))
+            rank = final_rank if v < len(flags) and flags[v] else ranks.get((u, v))
             if rank is None:
                 lines.append(f"  {u} -- {v} [label={d}];")
             else:
@@ -431,7 +422,15 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and send what stdout still holds
+        # to devnull at exit (a StringIO stdout has no descriptor to move)
+        with suppress(OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_USAGE
     except (ParameterError, RangeError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -79,9 +79,10 @@ class CompletionTrace:
     def final_rows(self):
         """Yield ``(rank, distance, u, flags)`` for each row u of the
         magic-filled pairs (u, v) that follow listed_steps: byte v of
-        ``flags`` is 1 for each such pair and 0 otherwise, so that
-        ``itertools.compress(seq, flags)`` picks ``seq[v]`` of each v in
-        ascending order; a trace with no fill has none."""
+        ``flags`` is 1 for each such pair and 0 otherwise, and ``flags`` ends
+        at the row's last such v, so that ``itertools.compress(seq, flags)``
+        picks ``seq[v]`` of each v in ascending order; a trace with no fill
+        has none."""
         if self._fill is None:
             return
         rank, magic, opened = self._fill

@@ -422,10 +422,12 @@ def verify_catalogue(catalogue: ObstacleCatalogue, budget: int = 10**8) -> Catal
 
 
 def format_cycle_labels(cycle) -> str:
+    """The labels as bare digits when each is one digit 0..9, else
+    comma-separated, the two forms parse_cycle_labels reads."""
     labels = tuple(cycle)
-    if any(x > 9 for x in labels):
-        return ",".join(str(x) for x in labels)
-    return "".join(str(x) for x in labels)
+    if all(0 <= x <= 9 for x in labels):
+        return "".join(str(x) for x in labels)
+    return ",".join(str(x) for x in labels)
 
 
 def parse_cycle_labels(text: str) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ Nothing in the package calls these; they recompute a library result the
 direct way, one classify_triangle call or one completion at a time.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -25,6 +26,7 @@ from metric_completer import (
     classify_triangle,
     complete_magic,
     cycle_graph,
+    enumerate_obstacle_cycles,
     fork_families,
     oracle_completions,
     violations,
@@ -433,3 +435,53 @@ def distance_maps_reference(source: EdgeLabelledGraph, target: EdgeLabelledGraph
                 yield from extend(i + 1)
 
     return extend(0)
+
+
+@functools.cache
+def substitution_obstacles(params: Params, magic: int) -> tuple[tuple[int, ...], ...]:
+    """The union of the substitution catalogues of lengths 3 up to the last
+    non-empty one, grown as test_substitution_closure grows them."""
+    cycles, size = [], 3
+    while found := enumerate_obstacle_cycles(params, size, "substitution", magic).cycles:
+        cycles.extend(found)
+        size += 1
+    return tuple(cycles)
+
+
+def obstacle_hom_oracle(g: EdgeLabelledGraph, params: Params, magic: int) -> bool:
+    """True when some cycle of substitution_obstacles(params, magic) maps
+    homomorphically into ``g``: when ``g`` has a closed walk whose edges carry
+    the cycle's labels in order.  Repeated vertices are allowed, so this is
+    the forbidden-homomorphism view of the class (J. Hubicka and
+    J. Nesetril, Adv. Math. 356, 2019): ``g`` completes exactly when no
+    obstacle maps into it.
+
+    From each start vertex, the walk keeps the set of vertices it can reach
+    as a bitset and, for each label, replaces it by the OR of those
+    vertices' neighbourhoods at that label.  As each start vertex is tried,
+    and the walks run both ways along an undirected graph, the canonical
+    form of each cycle stands for all its rotations and reflections.
+    """
+    n = g.vertex_count
+    nbrs = [[0] * n for _ in range(params.delta + 1)]  # label -> vertex -> bits
+    for (u, v), d in g.edges.items():
+        nbrs[d][u] |= 1 << v
+        nbrs[d][v] |= 1 << u
+    for cycle in substitution_obstacles(params, magic):
+        first = nbrs[cycle[0]]
+        for start in range(n):
+            if not first[start]:
+                continue
+            reach = 1 << start
+            for d in cycle:
+                row, after = nbrs[d], 0
+                while reach:
+                    low = reach & -reach
+                    after |= row[low.bit_length() - 1]
+                    reach ^= low
+                reach = after
+                if not reach:
+                    break
+            if reach >> start & 1:
+                return True
+    return False

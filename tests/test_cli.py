@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -156,6 +157,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_command(argv):
+    """The command line of a child Python that runs cli.main(argv) from
+    this checkout and exits with its code."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "from metric_completer import cli\n"
+        f"sys.exit(cli.main({list(argv)!r}))\n"
+    )
+    return [sys.executable, "-c", code]
 
 
 @pytest.fixture
@@ -854,6 +867,49 @@ class TestErrors:
         )
         assert (code, out) == (1, "")
         assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_reader_that_stops_early(self, tmp_path):
+        # the empty 300-vertex graph completes to about 9 MB of JSON; the
+        # reader takes one byte and closes the pipe, and the command ends
+        # with exit 1 and says nothing
+        path = tmp_path / "empty300.graph"
+        path.write_text(format_graph(Params(6, 2, 15), EdgeLabelledGraph(300)))
+        with subprocess.Popen(
+            child_command(["complete", str(path), "--format", "json"]),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            returncode = proc.wait(timeout=120)
+        assert (returncode, err) == (1, b"")
+
+    def test_reader_gone_before_a_short_output(self):
+        # the magic schedule fits in a buffered stdout, so a closed pipe
+        # shows only when the buffer is flushed; that flush comes before
+        # main returns, so the command still ends with exit 1 and says nothing
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                child_command(["magic", "--delta", "6", "--k", "2", "--c", "15"]),
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_broken_pipe_on_a_stdout_without_a_descriptor(self):
+        # an in-process stdout with no file descriptor is left as it is
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out, err = ClosedPipe(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["magic", "--delta", "6", "--k", "2", "--c", "15"])
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", "")
 
     @pytest.mark.parametrize("text, error", READER_ERRORS)
     def test_first_of_several_faults_wins(self, capsys, graph_file, text, error):

@@ -43,9 +43,11 @@ from metric_completer.params import _triangle_table
 from oracles import (
     complete_magic_oracle,
     label_bits,
+    obstacle_hom_oracle,
     oracle_completions_reference,
     oracle_value_ranges,
     shortest_path_oracle,
+    substitution_obstacles,
     sweep_universe,
     violations_oracle,
 )
@@ -100,6 +102,32 @@ def planted_sparse_graph(rng, n, par, cycle, degree=4):
         if (u, v) in dist:
             continue
         if all(
+            classify_triangle(d, label(u, w), label(v, w), par) is TriangleStatus.ALLOWED
+            for w in range(n)
+            if w != u and w != v and label(u, w) and label(v, w)
+        ):
+            dist[(u, v)] = d
+    return EdgeLabelledGraph(n, [(u, v, d) for (u, v), d in dist.items()])
+
+
+def planted_small_graph(rng, n, par, cycle, holes):
+    """The label cycle ``cycle`` on vertices 0, 1, ..., then the other pairs
+    of n vertices in random order, each with a random label kept only if it
+    closes no forbidden triangle, until at most ``holes`` pairs are open."""
+    dist = {}
+
+    def label(u, v):
+        return dist.get((min(u, v), max(u, v)))
+
+    for i, d in enumerate(cycle):
+        u, v = i, (i + 1) % len(cycle)
+        dist[(min(u, v), max(u, v))] = d
+    pairs = list(itertools.combinations(range(n), 2))
+    for u, v in rng.sample(pairs, len(pairs)):
+        if len(pairs) - len(dist) <= holes:
+            break
+        d = rng.randint(1, par.delta)
+        if (u, v) not in dist and all(
             classify_triangle(d, label(u, w), label(v, w), par) is TriangleStatus.ALLOWED
             for w in range(n)
             if w != u and w != v and label(u, w) and label(v, w)
@@ -637,6 +665,83 @@ small_partial_graphs = st.sampled_from([p for p in TRIPLES if p.delta <= 5]).fla
 )
 
 
+class TestAgainstObstacleHomomorphisms:
+    """obstacle_hom_oracle, which maps the substitution catalogues' cycles
+    into the input, against the exhaustive oracle on small graphs and the
+    engine on large ones, at every triple with delta <= 6 and every magic
+    distance.  The inputs are mostly graphs with no forbidden triangle that
+    hold a planted cycle: a catalogue entry or random labels."""
+
+    def planted_cycle(self, rng, par, size):
+        entries = [
+            cyc
+            for magic in magic_distances(par)
+            for cyc in substitution_obstacles(par, magic)
+            if len(cyc) == size
+        ]
+        if entries and rng.random() < 0.5:
+            return rng.choice(entries)
+        return rng.choices(range(1, par.delta + 1), k=size)
+
+    def test_agrees_with_the_exhaustive_oracle_on_small_graphs(self):
+        # 5-8 vertices with at most 16 holes; delta**16 assignments bounds
+        # the oracle's search
+        rng = random.Random(23)
+        outcomes = {"completes": 0, "fails at input": 0, "fails through a longer cycle": 0}
+        for par in TRIPLES:
+            for _ in range(60):
+                n = rng.randint(5, 8)
+                if rng.random() < 0.2:  # random labels, forbidden triangles and all
+                    g = random_tree_graph(rng, n, par.delta, 0.6)
+                else:
+                    cycle = self.planted_cycle(rng, par, rng.randint(4, n))
+                    g = planted_small_graph(rng, n, par, cycle, rng.randint(0, 16))
+                if n * (n - 1) // 2 - len(g.edges) > 16:
+                    continue
+                completes = oracle_complete(g, par, budget=par.delta**16) is not None
+                for magic in magic_distances(par):
+                    assert obstacle_hom_oracle(g, par, magic) is not completes, (par, magic, g)
+                if completes:
+                    outcomes["completes"] += 1
+                elif violations(g, par):
+                    outcomes["fails at input"] += 1
+                else:
+                    outcomes["fails through a longer cycle"] += 1
+        assert min(outcomes.values()) >= 250, outcomes
+
+    def test_agrees_with_the_engine_from_24_to_120_vertices(self):
+        # trees with chords, sparse graphs holding a planted cycle, and at
+        # delta 6 the planted 11665, on both sides of BITSET_MIN_VERTICES
+        rng = random.Random(29)
+        failed = failed_through_longer_cycles = completed = 0
+        for par in TRIPLES:
+            for magic in magic_distances(par):
+                inputs = [
+                    random_tree_graph(
+                        rng, rng.randint(24, 120), par.delta, rng.choice((0, 0.005, 0.01))
+                    )
+                    for _ in range(2)
+                ] + [
+                    planted_sparse_graph(
+                        rng, rng.randint(24, 120), par,
+                        self.planted_cycle(rng, par, rng.randint(4, 7)), rng.choice((2, 3)),
+                    )
+                    for _ in range(2)
+                ]
+                if par.delta == 6:
+                    inputs.append(planted_sparse_graph(rng, rng.randint(24, 120), par,
+                                                       (1, 1, 6, 6, 5), 2))
+                for g in inputs:
+                    res = complete_magic(g, par, magic)
+                    fails = res.status is CompletionStatus.FAILED
+                    assert obstacle_hom_oracle(g, par, magic) is fails, (par, magic, g)
+                    failed += fails
+                    completed += not fails
+                    failed_through_longer_cycles += fails and not violations(g, par)
+        assert completed >= 150 and failed_through_longer_cycles >= 60, (
+            completed, failed, failed_through_longer_cycles)
+
+
 class TestColumnarResult:
     """complete_magic keeps its trace as columns and its violations as a
     view; what they give must equal the triple-loop engine's plain values,
@@ -1065,6 +1170,14 @@ class TestSandwich:
         full = EdgeLabelledGraph(5, [(u, v, 4) for u, v in itertools.combinations(range(5), 2)])
         with pytest.raises(PreconditionError):
             check_sandwich(g, res, full, 4)
+
+    def test_requires_a_complete_other(self):
+        g = fork_input(1, 1)
+        res = complete_magic(g, PAR, 4)
+        with pytest.raises(
+            PreconditionError, match="^other completion must be complete on the same vertices$"
+        ):
+            check_sandwich(g, res, g, 4)
 
     def test_requires_matching_input_edges(self):
         g = fork_input(1, 1)

@@ -93,6 +93,10 @@ class TestGraph:
         assert h.distance(1, 2) is None
         assert h.distance(0, 2) == 4
 
+    def test_induced_rejects_a_repeated_vertex(self):
+        with pytest.raises(FormatError, match="^repeated vertex in induced subgraph$"):
+            EdgeLabelledGraph(3).induced([0, 0])
+
     def test_equality_and_hash(self):
         a = EdgeLabelledGraph(3, [(0, 1, 2), (1, 2, 3)])
         b = EdgeLabelledGraph(3, [(2, 1, 3), (1, 0, 2)])
@@ -140,6 +144,8 @@ class TestCycles:
     def test_cycle_needs_three_labels(self):
         with pytest.raises(RangeError):
             cycle_graph((1, 2))
+        with pytest.raises(RangeError, match="^a cycle needs at least 3 labels$"):
+            canonical_cycle((1, 2))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -602,6 +608,12 @@ class TestPartialAutomorphisms:
         with pytest.raises(CapacityError):
             partial_automorphisms(EdgeLabelledGraph(6))
 
+    def test_maps_that_are_not_injective_or_leave_the_graph(self):
+        g = EdgeLabelledGraph(3)
+        assert not is_partial_automorphism(g, {0: 2, 1: 2})
+        assert not is_partial_automorphism(g, {0: 3})
+        assert not is_partial_automorphism(g, {3: 0})
+
 
 class TestEppa:
     def test_empty_graph_always_holds(self):
@@ -646,6 +658,27 @@ class TestEppa:
         b = EdgeLabelledGraph(3, [(0, 1, 3), (0, 2, 1)])
         with pytest.raises(PreconditionError):
             verify_eppa_witness(a, b)
+
+    @pytest.mark.parametrize("inclusion, message", [
+        ((1,), "inclusion map must cover every vertex of the subgraph"),
+        ((1, 2, 0), "inclusion map must cover every vertex of the subgraph"),
+        ((1, 1), "inclusion map must embed vertices injectively"),
+        ((1, 3), "inclusion map must embed vertices injectively"),
+        ((-1, 0), "inclusion map must embed vertices injectively"),
+    ])
+    def test_inclusion_must_embed(self, inclusion, message):
+        a = EdgeLabelledGraph(2, [(0, 1, 2)])
+        b = EdgeLabelledGraph(3, [(1, 2, 2), (0, 1, 1)])
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            verify_eppa_witness(a, b, inclusion=inclusion)
+
+    def test_describe(self):
+        one = EdgeLabelledGraph(1)
+        report = verify_eppa_witness(one, one)
+        assert report.describe() == "holds (2 partial automorphisms extend)"
+        tri = cycle_graph((1, 1, 2))
+        report = verify_eppa_witness(tri, tri)
+        assert report.describe() == "fails at partial automorphism {0->1}"
 
     def test_explicit_inclusion_map(self):
         a = EdgeLabelledGraph(2, [(0, 1, 2)])

@@ -304,6 +304,10 @@ class TestSubstitution:
             with pytest.raises(RangeError, match="outside 1..6"):
                 substitute_forks(cycle, PAR)
 
+    def test_rejects_fewer_than_three_labels(self):
+        with pytest.raises(RangeError, match="^a cycle needs at least 3 labels$"):
+            substitute_forks((1, 2), PAR)
+
 
 class TestEnumeration:
     def test_triangles(self):
@@ -391,6 +395,10 @@ class TestEnumeration:
         for size in (2, 4.0, "5"):
             with pytest.raises(RangeError):
                 enumerate_obstacle_cycles(PAR, size)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(FormatError, match="^unknown method 'x'$"):
+            enumerate_obstacle_cycles(PAR, 3, method="x")
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_chunk_boundaries(self, monkeypatch, lanes):
@@ -835,6 +843,8 @@ class TestCatalogueFormat:
     def test_labels(self):
         assert format_cycle_labels((1, 1, 5)) == "115"
         assert format_cycle_labels((1, 2, 10)) == "1,2,10"
+        assert format_cycle_labels((1, 2, -3)) == "1,2,-3"
+        assert format_cycle_labels((0, 9, 9)) == "099"
         assert parse_cycle_labels("115") == (1, 1, 5)
         assert parse_cycle_labels("1,2,10") == (1, 2, 10)
 
@@ -864,6 +874,25 @@ class TestCatalogueFormat:
     def test_parse_rejects(self, text):
         with pytest.raises(FormatError):
             parse_catalogue(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty catalogue"),
+        ("catalogue 6 x 15 3 exhaustive\n", "non-integer field in catalogue header"),
+        # a negative label is quoted in the comma form it was written in
+        ("catalogue 6 2 15 3 exhaustive\n1,2,-3\n",
+         r"cycle '1,2,-3' has a label outside 1\.\.6"),
+    ])
+    def test_parse_errors_quote_the_file(self, text, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_catalogue(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty cycle line"),
+        ("1,a", "bad cycle line '1,a'"),
+    ])
+    def test_parse_cycle_labels_rejects(self, text, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_cycle_labels(text)
 
     def test_parse_rejects_unacceptable_params(self):
         with pytest.raises(ParameterError, match="k exceeds delta"):
