@@ -41,6 +41,11 @@ EXIT_FAILED = 2
 EXIT_CAPACITY = 3
 EXIT_PRECONDITION = 4
 
+# The exit code of each error class that main reports
+_EXIT_CODES = {CapacityError: EXIT_CAPACITY, PreconditionError: EXIT_PRECONDITION,
+               ParameterError: EXIT_USAGE, RangeError: EXIT_USAGE,
+               FormatError: EXIT_USAGE, OSError: EXIT_USAGE}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse front end that reports usage problems with exit code 1."""
@@ -50,28 +55,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_graph(path: str):
+def _read_graph(args):
+    """The params and graph in the file ``args.graph``, or on stdin for -,
+    read as bytes and decoded as UTF-8 once; a closed stdin is refused, and
+    any of --delta, --k and --c given must agree with the file's params."""
+    path = args.graph
+    if path == "-":
+        if sys.stdin is None:
+            raise OSError("-: stdin is closed")
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
+        text = data.decode()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return parse_graph(text)
-
-
-def _file_params(args, file_params: Params) -> Params:
+    params, g = parse_graph(text)
     given = (args.delta, args.k, args.c)
-    if any(x is not None for x in given):
-        if given != (file_params.delta, file_params.k, file_params.c):
-            stated = " ".join(str(x) for x in given)
-            stored = f"{file_params.delta} {file_params.k} {file_params.c}"
-            raise ParameterError(
-                f"parameters {stated} disagree with the graph file ({stored})"
-            )
-    return file_params
+    stored = (params.delta, params.k, params.c)
+    if any(x is not None for x in given) and given != stored:
+        raise ParameterError(
+            f"parameters {' '.join(map(str, given))} disagree with the graph "
+            f"file ({' '.join(map(str, stored))})"
+        )
+    return params, g
 
 
 def cmd_magic(args) -> int:
@@ -108,10 +116,10 @@ _JSON_CHUNK = 4096
 
 
 def _lines(lines):
-    """Yield ``lines`` joined by newlines, at most _JSON_CHUNK at a time."""
+    """Yield ``lines``, each ended by a newline, _JSON_CHUNK to a piece."""
     lines = iter(lines)
     while chunk := list(islice(lines, _JSON_CHUNK)):
-        yield "\n".join(chunk)
+        yield "\n".join(chunk) + "\n"
 
 
 def _numerals(trace, params) -> list[str]:
@@ -122,17 +130,17 @@ def _numerals(trace, params) -> list[str]:
 
 
 def _complete_text(params, magic, result):
-    """Yield the text of ``complete`` as chunks of whole lines, each joined
-    by newlines, so that the whole text is never held at once."""
+    """Yield the text of ``complete`` in pieces of whole lines, each line
+    ended by a newline, so that the whole text is never held at once."""
     trace = result.trace
-    yield f"params delta={params.delta} k={params.k} c={params.c} M={magic}"
+    yield f"params delta={params.delta} k={params.k} c={params.c} M={magic}\n"
     yield from _lines(step.describe() for step in trace.listed_steps)
     numerals = _numerals(trace, params)
     for _, distance, u, flags in trace.final_rows():
         # TraceStep.describe() of each magic-filled step of the row
-        head, tail = f"final: ({u},", f") = {distance}"
-        yield head + (tail + "\n" + head).join(compress(numerals, flags)) + tail
-    yield result.status.value
+        head, tail = f"final: ({u},", f") = {distance}\n"
+        yield head + (tail + head).join(compress(numerals, flags)) + tail
+    yield result.status.value + "\n"
     yield from _lines("violation: " + v.describe() for v in result.violations)
 
 
@@ -243,8 +251,8 @@ def _json_edges(trace, numerals):
 
 
 def _complete_json(params, magic, result):
-    """Yield the JSON payload of ``complete`` in chunks, so that the whole
-    text is never held at once."""
+    """Yield the JSON payload of ``complete``, ended by a newline, in pieces,
+    so that the whole text is never held at once."""
     trace = result.trace
     yield _JSON_HEAD % (params.delta, params.k, params.c, magic, result.status.value)
     numerals = _numerals(trace, params)
@@ -256,17 +264,17 @@ def _complete_json(params, magic, result):
         _JSON_VIOLATION % (*v.vertices, *v.distances, v.status.value)
         for v in result.violations
     ))])
-    yield "\n}"
+    yield "\n}\n"
 
 
-def _complete_dot(result):
-    """Yield the dot text of ``complete`` as chunks of whole lines, each
-    joined by newlines, one chunk per row of edges."""
+def _complete_dot(params, magic, result):
+    """Yield the dot text of ``complete`` in pieces of whole lines, each
+    line ended by a newline, one piece per row of edges."""
     trace = result.trace
     ranks = {(s.u, s.v): s.rank for s in trace.listed_steps}
     fills = trace.final_rows()
     fill = next(fills, None)
-    yield "graph completion {"
+    yield "graph completion {\n"
     for u, vs, ds in trace.edge_rows():
         flags, final_rank = b"", None
         if fill is not None and fill[2] == u:
@@ -276,29 +284,20 @@ def _complete_dot(result):
         for v, d in zip(vs, ds):
             rank = final_rank if v < len(flags) and flags[v] else ranks.get((u, v))
             if rank is None:
-                lines.append(f"  {u} -- {v} [label={d}];")
+                lines.append(f"  {u} -- {v} [label={d}];\n")
             else:
-                lines.append(f"  {u} -- {v} [label={d}, rank={rank}, style=dashed];")
-        yield "\n".join(lines)
-    yield "}"
+                lines.append(f"  {u} -- {v} [label={d}, rank={rank}, style=dashed];\n")
+        yield "".join(lines)
+    yield "}\n"
 
 
 def cmd_complete(args) -> int:
-    file_params, g = _read_graph(args.graph)
-    params = _file_params(args, file_params)
+    params, g = _read_graph(args)
     magic = fork_families(args.magic, params).magic
     result = complete_magic(g, params, magic)
-    if args.format == "json":
-        sys.stdout.writelines(_complete_json(params, magic, result))
-        sys.stdout.write("\n")
-    elif args.format == "dot":
-        sys.stdout.writelines(chunk + "\n" for chunk in _complete_dot(result))
-    else:
-        lines = _complete_text(params, magic, result)
-        sys.stdout.writelines(chunk + "\n" for chunk in lines)
-    if result.status is CompletionStatus.COMPLETED:
-        return EXIT_OK
-    return EXIT_FAILED
+    write = {"text": _complete_text, "json": _complete_json, "dot": _complete_dot}
+    sys.stdout.writelines(write[args.format](params, magic, result))
+    return EXIT_OK if result.status is CompletionStatus.COMPLETED else EXIT_FAILED
 
 
 def cmd_obstacles(args) -> int:
@@ -314,6 +313,7 @@ def cmd_obstacles(args) -> int:
         if args.output:
             out.truncate(0)
         out.write(format_catalogue(catalogue))
+        out.flush()  # a full device fails here, before the summary below
     print(
         f"n={catalogue.size}: {len(catalogue.cycles)} cycles ({catalogue.method})",
         file=sys.stderr,
@@ -331,8 +331,7 @@ def cmd_obstacles(args) -> int:
 
 
 def cmd_trace_obstacle(args) -> int:
-    file_params, g = _read_graph(args.graph)
-    params = _file_params(args, file_params)
+    params, g = _read_graph(args)
     witness = obstacle_trace(g, params, args.magic)
     sides = ",".join(str(d) for d in witness.seed_distances)
     verts = ",".join(str(v) for v in witness.seed_vertices)
@@ -397,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_obst.add_argument("--verify", action="store_true",
                         help="cross-check the catalogue against the oracle")
     p_obst.add_argument("--budget", type=_budget, default=10**8,
-                        help="oracle assignment cap, and cap on the "
-                             "delta^n label sequences the exhaustive method "
-                             "walks or the candidate cycles the substitution "
+                        help="oracle assignment cap, cap on delta^n for the "
+                             "exhaustive method, which walks the canonical "
+                             "cycles, and on the candidate cycles the substitution "
                              "method builds; exit 3 when exceeded")
     p_obst.add_argument("--output", default=None, help="write the catalogue here")
     p_obst.set_defaults(func=cmd_obstacles)
@@ -420,26 +419,27 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` and return its exit code.  A failure
+    exits with the code of its class in _EXIT_CODES, says ``error:`` unless
+    the reader has gone, and sends what a stdout it left unflushable still
+    holds to devnull, so that the interpreter's flush at exit stays quiet."""
     args = _parser().parse_args(argv)
     try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        sys.stdout.flush()  # a closed pipe or a full device raises here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader has gone: say nothing, and send what stdout still holds
-        # to devnull at exit (a StringIO stdout has no descriptor to move)
-        with suppress(OSError), open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return EXIT_USAGE
-    except (ParameterError, RangeError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except tuple(_EXIT_CODES) as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:  # to devnull, where it has a descriptor (a StringIO has none)
+            with suppress(OSError), open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -303,8 +303,9 @@ def enumerate_obstacle_cycles(
     _LANES cycles per bit-sliced _decide_cycles call.  A ``size`` that is not
     an int raises RangeError before anything else is checked.
 
-    ``budget`` caps the work: the delta**size label sequences the exhaustive
-    method walks, and the candidate cycles the substitution method builds,
+    ``budget`` caps the work: delta**size, the count of label sequences, for
+    the exhaustive method, which walks only the canonical cycles among them,
+    and the candidate cycles the substitution method builds,
     the canonical 3-cycles and then every substitution, each generation
     counted before it is built.  Either raises CapacityError before going
     over.  As each generation is built from the one before alone, the

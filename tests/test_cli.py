@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,17 @@ def child_command(argv):
     return [sys.executable, "-c", code]
 
 
+def run_child(argv, redirect="", env=(), **kwargs):
+    """Run cli.main(argv) in a child whose stdout is buffered, as it is on a
+    file or a device, with ``env`` added to its environment; under sh when
+    ``redirect``, such as ">&-", is appended to its command line."""
+    command = child_command(argv)
+    if redirect:
+        command = ["sh", "-c", f"{shlex.join(command)} {redirect}"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
+    return subprocess.run(command, stderr=subprocess.PIPE, env=env, timeout=120, **kwargs)
+
+
 @pytest.fixture
 def graph_file(tmp_path):
     def write(name, text):
@@ -232,7 +244,7 @@ class TestComplete:
         assert (code, out) == (2, C11665_TEXT)
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(FORK16))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(FORK16.encode())))
         code, out, _ = run(capsys, "complete", "-")
         assert (code, out) == (0, FORK16_TEXT)
 
@@ -390,7 +402,7 @@ class TestJsonWriter:
             statuses.add((res.status, bool(res.trace.steps), bool(res.violations)))
             assert "".join(cli._complete_json(par, magic, res)) == complete_json_oracle(
                 par, magic, res
-            ), (par, magic, g)
+            ) + "\n", (par, magic, g)
         # completed, failed at once and failed after filling all occur
         assert {
             (CompletionStatus.COMPLETED, True, False),
@@ -409,7 +421,8 @@ class TestJsonWriter:
         for par, magic, g in cases:
             res = complete_magic(g, par, magic)
             pieces = list(cli._complete_json(par, magic, res))
-            assert "".join(pieces) == complete_json_oracle(par, magic, res), (par, magic, g)
+            assert "".join(pieces) == complete_json_oracle(par, magic, res) + "\n", (
+                par, magic, g)
             records = len(res.trace.steps) + len(res.trace.final_graph.edges)
             assert len(pieces) >= records // chunk
             assert max(piece.count('"rank"') for piece in pieces) <= chunk
@@ -446,16 +459,16 @@ def assert_writers_match_the_direct_engine(capsys, tmp_path, cases):
         path.write_text(format_graph(par, g))
         ref = complete_magic_oracle(g, par, magic)
         expected = {
-            "json": complete_json_oracle(par, magic, ref),
-            "text": "\n".join(cli._complete_text(par, magic, ref)),
-            "dot": "\n".join(cli._complete_dot(ref)),
+            "json": complete_json_oracle(par, magic, ref) + "\n",
+            "text": "".join(cli._complete_text(par, magic, ref)),
+            "dot": "".join(cli._complete_dot(par, magic, ref)),
         }
         want = 0 if ref.status is CompletionStatus.COMPLETED else 2
         for fmt, text in expected.items():
             code, out, err = run(
                 capsys, "complete", str(path), "--magic", str(magic), "--format", fmt
             )
-            assert (code, out, err) == (want, text + "\n", ""), (par, magic, g, fmt)
+            assert (code, out, err) == (want, text, ""), (par, magic, g, fmt)
 
 
 class TestObstacles:
@@ -899,6 +912,54 @@ class TestErrors:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["magic", "--delta", "6", "--k", "2", "--c", "15"],
+        ["complete", "FORK16", "--format", "json"],  # fails at the last flush
+        ["complete", "EMPTY60", "--format", "json"],  # fails at a write
+        # the catalogue is flushed before its summary would go to stderr
+        ["obstacles", "--delta", "6", "--k", "2", "--c", "15", "--n", "5"],
+    ])
+    def test_stdout_on_a_full_device(self, graph_file, argv):
+        # the error is said once, and the interpreter's flush at exit, which
+        # would fail again, finds nothing left to write
+        files = {
+            "FORK16": graph_file("fork16.graph", FORK16),
+            "EMPTY60": graph_file("empty60.graph",
+                                  format_graph(Params(6, 2, 15), EdgeLabelledGraph(60))),
+        }
+        with open("/dev/full", "w") as full:
+            proc = run_child([files.get(x, x) for x in argv], stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, b"error: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("command", ["magic", "complete"])
+    def test_closed_stdout(self, graph_file, command):
+        argv = {
+            "magic": ["magic", "--delta", "6", "--k", "2", "--c", "15"],
+            "complete": ["complete", graph_file("fork16.graph", FORK16)],
+        }[command]
+        proc = run_child(argv, redirect=">&-")
+        assert (proc.returncode, proc.stderr) == (1, b"error: stdout is closed\n")
+
+    def test_closed_stdin(self):
+        proc = run_child(["complete", "-"], redirect="<&-", stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, b"", b"error: -: stdin is closed\n"
+        )
+
+    def test_stdin_that_is_not_utf8(self, tmp_path):
+        # stdin is decoded as a file is, whatever the locale makes of it
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"\xff\xfe\n")
+        utf8_mode = {"PYTHONUTF8": "1"}
+        from_stdin = run_child(["complete", "-"], input=path.read_bytes(),
+                               stdout=subprocess.PIPE, env=utf8_mode)
+        from_file = run_child(["complete", str(path)], stdout=subprocess.PIPE, env=utf8_mode)
+        assert from_stdin.stderr == b"error: -: not UTF-8 text (invalid start byte)\n"
+        assert from_file.stderr == f"error: {path}: not UTF-8 text (invalid start byte)\n".encode()
 
     def test_broken_pipe_on_a_stdout_without_a_descriptor(self):
         # an in-process stdout with no file descriptor is left as it is

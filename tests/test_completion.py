@@ -804,6 +804,14 @@ class TestColumnarResult:
         ]
         assert res.trace.distance(0, 3) is None and res.trace.distance(3, 3) == 0
 
+    def test_a_trace_equals_only_a_trace_and_shows_its_parts(self):
+        trace = complete_magic(cycle_graph((1, 1, 6, 6, 5)), PAR, 4).trace
+        assert trace.__eq__(1) is NotImplemented
+        assert trace != 1 and not trace == trace.steps
+        assert repr(trace) == (
+            f"CompletionTrace(steps={trace.steps!r}, final_graph={trace.final_graph!r})"
+        )
+
     def test_steps_and_graph_are_built_once(self):
         trace = complete_magic(cycle_graph((1, 1, 6, 6, 5)), PAR, 4).trace
         assert trace.steps is trace.steps

@@ -105,6 +105,11 @@ class TestGraph:
         assert a != EdgeLabelledGraph(3, [(0, 1, 2)])
         assert a != EdgeLabelledGraph(4, [(0, 1, 2), (1, 2, 3)])
 
+    def test_equality_with_a_non_graph_is_left_to_the_other_side(self):
+        g = EdgeLabelledGraph(2, [(0, 1, 1)])
+        assert g.__eq__((2, {(0, 1): 1})) is NotImplemented
+        assert g != (2, {(0, 1): 1}) and not g == 1
+
     def test_rejects_loops_conflicts_bad_labels(self):
         with pytest.raises(ValueError):
             EdgeLabelledGraph(2, [(0, 0, 1)])
@@ -384,6 +389,15 @@ class TestViolations:
         assert not empty and empty == [] and empty == () and len(empty) == 0
         with pytest.raises(IndexError):
             empty[0]
+
+    def test_repr_shows_three_triangles_at_most(self):
+        # K_5 with every label 1: at k = 2 each of its 10 triangles is
+        # odd and short
+        k5 = EdgeLabelledGraph(5, [(u, v, 1) for u, v in itertools.combinations(range(5), 2)])
+        view = violations(k5, PAR)
+        found = violations_oracle(k5, PAR)
+        assert len(view) == len(found) == 10
+        assert repr(view) == "ViolationView([%r, %r, %r, ...])" % tuple(found[:3])
 
     def test_clean_graphs_share_the_empty_view(self):
         view = violations(cycle_graph((1, 1, 2)), PAR)

@@ -499,6 +499,12 @@ class TestEnumeration:
         for magic in (3, 4):
             assert enumerate_obstacle_cycles(PAR, 7, magic=magic).cycles == ()
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_no_obstacles_at_lengths_eight_and_nine(self, n):
+        # the exhaustive method walks every canonical cycle of length n
+        for magic in (3, 4):
+            assert enumerate_obstacle_cycles(PAR, n, magic=magic).cycles == ()
+
 
 # published counts of binary bracelets, n = 3..9 (OEIS A000029)
 BINARY_BRACELETS = {3: 4, 4: 6, 5: 8, 6: 13, 7: 18, 8: 30, 9: 46}
