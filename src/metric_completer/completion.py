@@ -162,9 +162,6 @@ class CompletionResult:
         return _FAILED if self.violations else _COMPLETED
 
 
-MAX_VERTICES = 1000
-
-
 def complete_magic(
     g: EdgeLabelledGraph, params: Params, magic: int | None = None
 ) -> CompletionResult:
@@ -177,10 +174,10 @@ def complete_magic(
     the magic distance.  The result is Failed exactly when the finished graph
     contains a forbidden triangle, and an input that already contains one
     fails immediately.  Defaults to the maximum magic distance when ``magic``
-    is omitted.  A graph of more than MAX_VERTICES vertices raises
-    CapacityError before anything is allocated, and a label above delta
-    raises RangeError from the input's check by violations, before anything
-    is filled.
+    is omitted.  A graph of more than graphs.MAX_VERTICES vertices raises
+    CapacityError from g.matrix(), before anything is allocated, and a
+    label above delta raises RangeError from the input's check by
+    violations, before anything is filled.
 
     The engine keeps one bitset per label and vertex: bit v of ``N[d][u]`` is
     set when the distance from u to v is d, and bit v > u of ``N[0][u]`` when
@@ -202,9 +199,6 @@ def complete_magic(
     families = fork_families(magic, params)
     magic = families.magic
     n = g.vertex_count
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
-
     dist = g.matrix()
     initial = violations(g, params, dist)
     if initial:
@@ -262,11 +256,11 @@ def complete_magic(
 
 
 def _decide_cycles(cycles, params: Params, magic: int) -> int:
-    """Which of ``cycles`` complete_magic completes, as a mask over lanes.
+    """Which of ``cycles`` complete_magic fails on, as a mask over lanes.
 
     ``cycles`` is a list of label sequences of one length, each label in
     1..delta; bit L of the result is set when ``cycle_graph(cycles[L])``
-    completes.  Every cycle runs the same rank schedule, so they are decided
+    fails.  Every cycle runs the same rank schedule, so they are decided
     together, bit-sliced: bit L of ``D[u][v][d]`` is set when pair (u, v) of
     cycle L carries d, and bit L of ``opened[p]`` when chord p is still open.
     No fork of a family has the family's distance as an arm, so the pairs a
@@ -329,27 +323,24 @@ def _decide_cycles(cycles, params: Params, magic: int) -> int:
                     for b in bs:
                         third |= Dik[b]
                     failed |= hits & third
-    return full & ~failed
+    return failed
 
 
 def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> CompletionResult:
     """Fill every non-edge with its path distance capped at delta.
 
     Disconnected pairs get delta.  Existing edges are kept as they are.  A
-    graph of more than MAX_VERTICES vertices raises CapacityError, and a
-    label above delta RangeError, before anything is allocated.
+    graph of more than graphs.MAX_VERTICES vertices raises CapacityError
+    from g.matrix(), before anything is allocated, and then a label above
+    delta RangeError, before the pass.
     """
     n = g.vertex_count
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
     delta = params.delta
+    dist = [[d or delta for d in row] for row in g.matrix()]
     _check_distance(max(g.edges.values(), default=1), delta)
     # Floyd's pass: no entry exceeds delta, so a leg at delta shortens nothing
-    dist = [[delta] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
-    for (u, v), d in g.edges.items():
-        dist[u][v] = dist[v][u] = d
     for w in range(n):
         row_w = dist[w]
         for u in range(n):
@@ -392,11 +383,12 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
     """Yield every completion of ``g`` in the class, depth first.
 
     The holes are counted, and the budget checked on ``delta**holes``, before
-    any is listed; then the input's check by violations refuses a label
-    above delta.  The holes are taken column by column from the distance
-    matrix, so each new vertex is fully connected before the next one starts,
-    and each is tried with the values 1..delta in ascending order.  A
-    completion is ``g``'s edges followed by the holes in that order.
+    any is listed; then g.matrix() refuses more than graphs.MAX_VERTICES
+    vertices, and the input's check by violations a label above delta.  The
+    holes are taken column by column from the distance matrix, so each new
+    vertex is fully connected before the next one starts, and each is tried
+    with the values 1..delta in ascending order.  A completion is ``g``'s
+    edges followed by the holes in that order.
 
     The search is one loop over a position i: ``values[i]`` is the value
     hole i holds, 0 before its first.  A hole is open, 0 in the matrix,
@@ -465,16 +457,19 @@ def check_sandwich(
     g: EdgeLabelledGraph,
     magic_result: CompletionResult,
     other: EdgeLabelledGraph,
-    magic: int,
 ) -> SandwichReport:
     """Verify the engine's completion sits between magic and any other one.
 
     Pair by pair, with d the engine's value and d' the other completion's,
-    either d' >= d >= magic or d' <= d <= magic must hold.  Reports the first
-    offending pair.
+    either d' >= d >= magic or d' <= d <= magic must hold, with magic the
+    distance of the trace's magic fill.  Reports the first offending pair.
+    A result that failed, or whose trace has no magic fill, as the
+    baseline's has not, is refused.
     """
-    if magic_result.status is not CompletionStatus.COMPLETED:
+    fill = magic_result.trace._fill
+    if fill is None or magic_result.status is not CompletionStatus.COMPLETED:
         raise PreconditionError("engine result is not a completion")
+    magic = fill[1]
     final = magic_result.trace.final_graph
     if other.vertex_count != g.vertex_count or not other.is_complete():
         raise PreconditionError("other completion must be complete on the same vertices")

@@ -15,6 +15,9 @@ from .errors import CapacityError, FormatError, PreconditionError, RangeError
 from .params import Params, TriangleStatus, _check_distance, _triangle_table
 
 
+MAX_VERTICES = 1000  # the most vertices EdgeLabelledGraph.matrix() builds for
+
+
 class EdgeLabelledGraph:
     """A finite vertex set with a symmetric partial distance function.
 
@@ -78,16 +81,27 @@ class EdgeLabelledGraph:
         return len(self.edges) == n * (n - 1) // 2
 
     def matrix(self) -> list[list[int]]:
-        """Dense distance matrix with 0 for both the diagonal and non-edges."""
+        """Dense distance matrix with 0 for both the diagonal and non-edges;
+        more than MAX_VERTICES vertices raise CapacityError before it exists."""
         n = self.vertex_count
+        if n > MAX_VERTICES:
+            raise CapacityError(f"{n} vertices exceed the engine's cap of {MAX_VERTICES}")
         m = [[0] * n for _ in range(n)]
         for (u, v), d in self.edges.items():
             m[u][v] = m[v][u] = d
         return m
 
     def induced(self, vertices) -> "EdgeLabelledGraph":
-        """The induced subgraph on ``vertices``, reindexed in the given order."""
+        """The induced subgraph on ``vertices``, reindexed in the given order.
+
+        The first vertex that is not an int in 0..vertex_count-1 raises
+        FormatError, as does a repeated one.
+        """
         verts = list(vertices)
+        n = self.vertex_count
+        for v in verts:
+            if type(v) is not int or not 0 <= v < n:
+                raise FormatError(f"vertex {v!r} outside 0..{n - 1}")
         index = {v: i for i, v in enumerate(verts)}
         if len(index) != len(verts):
             raise FormatError("repeated vertex in induced subgraph")
@@ -254,10 +268,11 @@ def violations(
     """All forbidden triangles among fully specified triples, in scan order:
     (i, j, k) ascending with i < j < k, as a lazy ViolationView.
 
-    ``matrix`` is ``g.matrix()``, passed by a caller that has built it
-    already; a label is read from it, and an index of 0 reads None in the
-    class's table of forbidden triangles (params._triangle_table).  This is
-    the library's one check that each label lies in 1..delta: without
+    ``matrix`` is ``g.matrix()``, which refuses more than MAX_VERTICES
+    vertices, passed by a caller that has built it already; a label is read
+    from it, and an index of 0 reads None in the class's table of forbidden
+    triangles (params._triangle_table).  This is the library's one check
+    that each label lies in 1..delta: without
     ``bits``, a label above delta raises RangeError from this call, before
     any scan, wherever it sits.
 
@@ -477,14 +492,13 @@ def automorphisms(g: EdgeLabelledGraph) -> list[tuple[int, ...]]:
 def is_partial_automorphism(g: EdgeLabelledGraph, mapping: dict[int, int]) -> bool:
     """True when ``mapping`` is an isomorphism between the induced subgraphs
     on its domain and on its range."""
-    items = sorted(mapping.items())
-    values = [fv for _, fv in items]
+    values = list(mapping.values())
+    for v in list(mapping) + values:
+        if type(v) is not int or not 0 <= v < g.vertex_count:
+            return False
     if len(set(values)) != len(values):
         return False
-    for v in list(mapping) + values:
-        if not 0 <= v < g.vertex_count:
-            return False
-    for (x, fx), (y, fy) in itertools.combinations(items, 2):
+    for (x, fx), (y, fy) in itertools.combinations(mapping.items(), 2):
         if g.distance(x, y) != g.distance(fx, fy):
             return False
     return True

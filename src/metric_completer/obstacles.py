@@ -36,24 +36,17 @@ class ObstacleWitness:
     expansions: tuple[Expansion, ...]
 
     def cycle_labels(self) -> tuple[int, ...]:
-        """The obstacle read off as a canonical cycle label sequence."""
-        edges = self.obstacle.edges
-        neighbours: dict[int, list[int]] = {}
-        for u, v in edges:
-            neighbours.setdefault(u, []).append(v)
-            neighbours.setdefault(v, []).append(u)
-        walk = [0, neighbours[0][0]]
-        while True:
-            prev, here = walk[-2], walk[-1]
-            nxt = [w for w in neighbours[here] if w != prev]
-            if not nxt or nxt[0] == walk[0]:
-                break
-            walk.append(nxt[0])
-        labels = [
-            self.obstacle.distance(walk[i], walk[(i + 1) % len(walk)])
-            for i in range(len(walk))
-        ]
-        return canonical_cycle(labels)
+        """The obstacle read off as a canonical cycle label sequence, in the
+        order the back-trace built: its expansions replayed on the seed ring
+        [0, 1, 2], fresh vertex 3 + t between the ends of the edge that
+        expansion t replaced."""
+        ring = [0, 1, 2]
+        for fresh, step in enumerate(self.expansions, 3):
+            p, q = step.obstacle_edge
+            i = ring.index(p)
+            ring.insert(i + 1 if ring[(i + 1) % len(ring)] == q else i, fresh)
+        distance = self.obstacle.distance
+        return canonical_cycle(map(distance, ring, ring[1:] + ring[:1]))
 
 
 def obstacle_trace(
@@ -259,7 +252,7 @@ def _refused(cycles, params: Params, magic: int) -> list[tuple[int, ...]]:
     out = []
     cycles = iter(cycles)
     while chunk := list(islice(cycles, _LANES)):
-        refused = ((1 << len(chunk)) - 1) ^ _decide_cycles(chunk, params, magic)
+        refused = _decide_cycles(chunk, params, magic)
         while refused:
             low = refused & -refused
             refused ^= low

@@ -31,7 +31,8 @@ from metric_completer import (
     oracle_completions,
     violations,
 )
-from metric_completer.completion import MAX_VERTICES, _count_over_budget
+from metric_completer.completion import _count_over_budget
+from metric_completer.graphs import MAX_VERTICES
 from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE
 from metric_completer.params import _check_distance, _triangle_table
 

@@ -32,8 +32,7 @@ from metric_completer import (
 )
 from metric_completer import cli, obstacles
 from metric_completer.cli import main
-from metric_completer.completion import MAX_VERTICES
-from metric_completer.graphs import parse_graph
+from metric_completer.graphs import MAX_VERTICES, parse_graph
 from metric_completer.params import MAX_DELTA, _triangle_table
 
 from oracles import complete_json_oracle, complete_magic_oracle
@@ -784,7 +783,7 @@ def test_readme_states_the_caps():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     paragraph = next(p for p in readme.split("\n\n") if p.startswith("Exit codes:"))
     text = " ".join(paragraph.split())
-    vertex_cap = f"more than {MAX_VERTICES} vertices (the engine's cap, `completion.MAX_VERTICES`"
+    vertex_cap = f"more than {MAX_VERTICES} vertices (the engine's cap, `graphs.MAX_VERTICES`"
     assert vertex_cap in text
     assert f"delta is above {MAX_DELTA} (`params.MAX_DELTA`" in text
 

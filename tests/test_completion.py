@@ -36,8 +36,8 @@ from metric_completer import (
     violations,
 )
 from metric_completer import graphs
-from metric_completer.graphs import BITSET_MIN_VERTICES
-from metric_completer.completion import MAX_VERTICES, _count_over_budget
+from metric_completer.graphs import BITSET_MIN_VERTICES, MAX_VERTICES
+from metric_completer.completion import _count_over_budget
 from metric_completer.params import _triangle_table
 
 from oracles import (
@@ -741,6 +741,32 @@ class TestAgainstObstacleHomomorphisms:
         assert completed >= 150 and failed_through_longer_cycles >= 60, (
             completed, failed, failed_through_longer_cycles)
 
+    def test_agrees_with_the_engine_from_121_to_200_vertices(self):
+        # the same generators, one tree with chords and one sparse graph
+        # with a planted cycle per triple and magic
+        rng = random.Random(31)
+        failed = failed_through_longer_cycles = completed = 0
+        for par in TRIPLES:
+            for magic in magic_distances(par):
+                inputs = [
+                    random_tree_graph(
+                        rng, rng.randint(121, 200), par.delta, rng.choice((0, 0.005, 0.01))
+                    ),
+                    planted_sparse_graph(
+                        rng, rng.randint(121, 200), par,
+                        self.planted_cycle(rng, par, rng.randint(4, 7)), rng.choice((2, 3)),
+                    ),
+                ]
+                for g in inputs:
+                    res = complete_magic(g, par, magic)
+                    fails = res.status is CompletionStatus.FAILED
+                    assert obstacle_hom_oracle(g, par, magic) is fails, (par, magic, g)
+                    failed += fails
+                    completed += not fails
+                    failed_through_longer_cycles += fails and not violations(g, par)
+        assert completed >= 80 and failed_through_longer_cycles >= 50, (
+            completed, failed, failed_through_longer_cycles)
+
 
 class TestColumnarResult:
     """complete_magic keeps its trace as columns and its violations as a
@@ -1067,6 +1093,14 @@ class TestOracle:
             "over the budget of 100000000"
         )
 
+    def test_vertex_cap(self):
+        # a budget that admits every assignment of the 500,499 holes lets the
+        # oracle go on to its matrix, which the cap refuses
+        g = EdgeLabelledGraph(MAX_VERTICES + 1, [(0, 1, 1)])
+        holes = (MAX_VERTICES + 1) * MAX_VERTICES // 2 - 1
+        with pytest.raises(CapacityError, match="^1001 vertices exceed the engine's cap of 1000$"):
+            oracle_complete(g, PAR, budget=PAR.delta**holes)
+
     def test_yield_order_on_three_vertices(self):
         # input edge first, then the holes (0, 1) and (1, 2); values ascend,
         # the first hole's slowest
@@ -1146,20 +1180,20 @@ class TestSandwich:
         res = complete_magic(g, PAR, 4)
         other = oracle_complete(g, PAR)
         assert other.distance(0, 2) == 2
-        assert check_sandwich(g, res, other, 4).holds
+        assert check_sandwich(g, res, other).holds
 
     def test_fork_12_all_completions_sit_below_magic(self):
         g = fork_input(1, 2)
         res = complete_magic(g, PAR, 4)
         assert res.trace.final_graph.distance(0, 2) == 3
         for other in oracle_completions(g, PAR):
-            report = check_sandwich(g, res, other, 4)
+            report = check_sandwich(g, res, other)
             assert report.holds, other.distance(0, 2)
 
     def test_identical_completions_hold(self):
         g = cycle_graph((1, 1, 1, 1))
         res = complete_magic(g, PAR, 4)
-        assert check_sandwich(g, res, res.trace.final_graph, 4).holds
+        assert check_sandwich(g, res, res.trace.final_graph).holds
 
     def test_detects_a_crossing(self):
         # hand-built counterexample graph: chord 3 crosses the engine's 5
@@ -1167,7 +1201,7 @@ class TestSandwich:
         g = fork_input(1, 6)
         res = complete_magic(g, PAR, 4)
         other = EdgeLabelledGraph(3, [(0, 1, 1), (1, 2, 6), (0, 2, 3)])
-        report = check_sandwich(g, res, other, 4)
+        report = check_sandwich(g, res, other)
         assert not report.holds
         assert report.pair == (0, 2)
         assert (report.engine_value, report.other_value) == (5, 3)
@@ -1177,7 +1211,22 @@ class TestSandwich:
         res = complete_magic(g, PAR, 4)
         full = EdgeLabelledGraph(5, [(u, v, 4) for u, v in itertools.combinations(range(5), 2)])
         with pytest.raises(PreconditionError):
-            check_sandwich(g, res, full, 4)
+            check_sandwich(g, res, full)
+
+    def test_reads_magic_from_the_trace(self):
+        # every pair of the empty triangle takes magic 3, so any completion
+        # holds; measured against magic 4, the pair at 4 would cross
+        g = EdgeLabelledGraph(3)
+        res = complete_magic(g, PAR, 3)
+        other = EdgeLabelledGraph(3, [(0, 1, 1), (0, 2, 3), (1, 2, 4)])
+        assert check_sandwich(g, res, other).holds
+
+    def test_requires_a_magic_fill(self):
+        g = fork_input(1, 1)
+        res = shortest_path_completion(g, PAR)
+        assert res.status is CompletionStatus.COMPLETED
+        with pytest.raises(PreconditionError, match="^engine result is not a completion$"):
+            check_sandwich(g, res, oracle_complete(g, PAR))
 
     def test_requires_a_complete_other(self):
         g = fork_input(1, 1)
@@ -1185,11 +1234,11 @@ class TestSandwich:
         with pytest.raises(
             PreconditionError, match="^other completion must be complete on the same vertices$"
         ):
-            check_sandwich(g, res, g, 4)
+            check_sandwich(g, res, g)
 
     def test_requires_matching_input_edges(self):
         g = fork_input(1, 1)
         res = complete_magic(g, PAR, 4)
         other = EdgeLabelledGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 2)])
         with pytest.raises(PreconditionError):
-            check_sandwich(g, res, other, 4)
+            check_sandwich(g, res, other)

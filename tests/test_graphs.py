@@ -32,7 +32,7 @@ from metric_completer import (
 )
 
 from metric_completer import graphs
-from metric_completer.graphs import BITSET_MIN_VERTICES
+from metric_completer.graphs import BITSET_MIN_VERTICES, MAX_VERTICES
 from metric_completer.params import _triangle_table
 
 from oracles import (
@@ -85,6 +85,17 @@ class TestGraph:
         g = EdgeLabelledGraph(3, [(0, 1, 2)])
         assert g.matrix() == [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
 
+    def test_matrix_refuses_more_than_the_vertex_cap(self):
+        # before it allocates; violations builds its matrix through it
+        assert MAX_VERTICES == 1000
+        assert len(EdgeLabelledGraph(MAX_VERTICES).matrix()) == MAX_VERTICES
+        g = EdgeLabelledGraph(MAX_VERTICES + 1, [(0, 1, 1)])
+        for call in (g.matrix, lambda: violations(g, PAR)):
+            with pytest.raises(CapacityError, match="^1001 vertices exceed the engine's cap of 1000$"):
+                call()
+        with pytest.raises(CapacityError, match="^100000000 vertices exceed"):
+            violations(EdgeLabelledGraph(10**8), PAR)
+
     def test_induced_reindexes(self):
         g = cycle_graph((1, 2, 3, 4))
         h = g.induced((0, 1, 3))
@@ -96,6 +107,17 @@ class TestGraph:
     def test_induced_rejects_a_repeated_vertex(self):
         with pytest.raises(FormatError, match="^repeated vertex in induced subgraph$"):
             EdgeLabelledGraph(3).induced([0, 0])
+        g = cycle_graph((1, 1, 1, 1))
+        for verts, message in (
+            ([0, 99, -1], "^vertex 99 outside 0..3$"),
+            ([-1, 0], "^vertex -1 outside 0..3$"),
+            ([0, 1.0], "^vertex 1.0 outside 0..3$"),
+            ([True, 2], "^vertex True outside 0..3$"),
+            (["0"], "^vertex '0' outside 0..3$"),
+            ([4, 4], "^vertex 4 outside 0..3$"),
+        ):
+            with pytest.raises(FormatError, match=message):
+                g.induced(verts)
 
     def test_equality_and_hash(self):
         a = EdgeLabelledGraph(3, [(0, 1, 2), (1, 2, 3)])
@@ -627,6 +649,12 @@ class TestPartialAutomorphisms:
         assert not is_partial_automorphism(g, {0: 2, 1: 2})
         assert not is_partial_automorphism(g, {0: 3})
         assert not is_partial_automorphism(g, {3: 0})
+        assert not is_partial_automorphism(g, {0: 1.5})
+        assert not is_partial_automorphism(g, {1.5: 0})
+        assert not is_partial_automorphism(g, {0: 1.0, 1: 0})
+        assert not is_partial_automorphism(g, {True: 0})
+        assert not is_partial_automorphism(g, {0: "1"})
+        assert is_partial_automorphism(g, {0: 1, 1: 0})
 
 
 class TestEppa:

@@ -2,7 +2,8 @@
 private name a library module defines is read by the library, no library
 module imports the test-only code, the library imports nothing beyond the
 standard library and itself, nor the gc module, one function classifies
-triangles, a catalogue's entries are checked only where it is built, a
+triangles, the vertex cap is raised only where the distance matrix is
+built, a catalogue's entries are checked only where it is built, a
 completion's trace and result are built only through their constructors,
 in the engine's module, and that module builds no graph through the
 checked constructor."""
@@ -231,16 +232,29 @@ def test_library_imports_only_stdlib(path):
     assert imports_beyond_stdlib(path.read_text()) == []
 
 
+def nodes_by_def(sources: dict[str, str]):
+    """Yield ``(module, function, node)`` for every node of ``sources``,
+    parents first, with the innermost enclosing def; a node outside any def
+    is under ``<module>``."""
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        yield module, where, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, module, where)
+
+    for module, source in sorted(sources.items()):
+        yield from visit(ast.parse(source), module, "<module>")
+
+
 def callers_of(sources: dict[str, str], name: str, owner: str | None = None) -> list[str]:
     """``module:function`` for each call of ``name`` in ``sources``, by
     name or as an attribute, named after the innermost enclosing def;
     a call outside any def is under ``<module>``.  With ``owner``, only
     the calls ``owner.name(...)`` count."""
     out = []
-
-    def visit(node, module, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
+    for module, where, node in nodes_by_def(sources):
         if isinstance(node, ast.Call):
             func = node.func
             if owner is None:
@@ -250,11 +264,20 @@ def callers_of(sources: dict[str, str], name: str, owner: str | None = None) -> 
                 called = getattr(func, "attr", None) if held == owner else None
             if called == name:
                 out.append(f"{module}:{where}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, module, where)
+    return out
 
-    for module, source in sorted(sources.items()):
-        visit(ast.parse(source), module, "<module>")
+
+def raisers_of(sources: dict[str, str], exception: str, reading: str) -> list[str]:
+    """``module:function``, as callers_of names it, for each ``raise
+    exception(...)`` in ``sources`` whose arguments read the name
+    ``reading``."""
+    out = []
+    for module, where, node in nodes_by_def(sources):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == exception:
+            read = {n.id for arg in exc.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+            if reading in read:
+                out.append(f"{module}:{where}")
     return out
 
 
@@ -271,6 +294,28 @@ def test_scan_finds_every_caller():
         "b.py": "def h():\n    return f\n",
     }
     assert callers_of(sources, "f") == ["a.py:<module>", "a.py:inner", "a.py:outer"]
+
+
+def test_scan_finds_every_raise_reading_a_name():
+    sources = {
+        "a.py": (
+            "raise CapacityError(f'{n} over {CAP}')\n"
+            "class G:\n"
+            "    def matrix(self):\n"
+            "        if self.n > CAP:\n"
+            "            raise CapacityError(f'{self.n} over {CAP}')\n"
+            "        raise CapacityError('other cap')\n"
+            "def check(n):\n"
+            "    raise RangeError(f'{n} over {CAP}')\n"
+        ),
+    }
+    assert raisers_of(sources, "CapacityError", "CAP") == ["a.py:<module>", "a.py:matrix"]
+
+
+def test_the_vertex_cap_is_raised_only_where_the_matrix_is_built():
+    # the engine, the baseline, violations and the oracle all build their
+    # n-by-n matrix through EdgeLabelledGraph.matrix, which holds the cap
+    assert raisers_of(LIBRARY, "CapacityError", "MAX_VERTICES") == ["graphs.py:matrix"]
 
 
 def test_triangles_are_classified_only_into_the_table():

@@ -116,13 +116,13 @@ def decider_mismatches(cycles, params, magic):
     """The cycles on which _decide_cycles and one engine run per cycle
     disagree; a lane set beyond the last cycle counts as a mismatch too."""
     cycles = list(cycles)
-    mask = _decide_cycles(cycles, params, magic)
+    refused = _decide_cycles(cycles, params, magic)
     wrong = [
         seq
         for lane, seq in enumerate(cycles)
-        if bool(mask >> lane & 1) != cycle_completes_oracle(seq, params, magic)
+        if bool(refused >> lane & 1) == cycle_completes_oracle(seq, params, magic)
     ]
-    if mask >> len(cycles):
+    if refused >> len(cycles):
         wrong.append(f"lanes beyond {len(cycles)}")
     return wrong
 
