@@ -58,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
 def _read_graph(args):
     """The params and graph in the file ``args.graph``, or on stdin for -,
     read as bytes and decoded as UTF-8 once; a closed stdin is refused, and
-    any of --delta, --k and --c given must agree with the file's params."""
+    --delta, --k and --c, each taken from the file when not given, must
+    agree with the file's params."""
     path = args.graph
     if path == "-":
         if sys.stdin is None:
@@ -72,9 +73,10 @@ def _read_graph(args):
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     params, g = parse_graph(text)
-    given = (args.delta, args.k, args.c)
     stored = (params.delta, params.k, params.c)
-    if any(x is not None for x in given) and given != stored:
+    flags = (args.delta, args.k, args.c)
+    given = tuple(s if x is None else x for x, s in zip(flags, stored))
+    if given != stored:
         raise ParameterError(
             f"parameters {' '.join(map(str, given))} disagree with the graph "
             f"file ({' '.join(map(str, stored))})"

@@ -63,8 +63,8 @@ class CompletionTrace:
     holds it.  Nobody may change them afterwards.  ``steps`` and
     ``final_graph`` are built on first access.  The writers read
     listed_steps, final_rows(), edge_rows() and vertex_count, and the
-    back-trace distance(), none of which builds the whole of ``steps`` or
-    ``final_graph``.
+    back-trace and the sandwich check distance(), none of which builds the
+    whole of ``steps`` or ``final_graph``.
     """
 
     __slots__ = ("listed_steps", "_fill", "_dist", "_steps", "_graph")
@@ -464,20 +464,32 @@ def check_sandwich(
     either d' >= d >= magic or d' <= d <= magic must hold, with magic the
     distance of the trace's magic fill.  Reports the first offending pair.
     A result that failed, or whose trace has no magic fill, as the
-    baseline's has not, is refused.
+    baseline's has not, is refused, and so is one of another graph: its
+    trace has another vertex count, or the pairs no step inserted are not
+    g's edges with g's labels.
     """
-    fill = magic_result.trace._fill
+    trace = magic_result.trace
+    fill = trace._fill
     if fill is None or magic_result.status is not CompletionStatus.COMPLETED:
         raise PreconditionError("engine result is not a completion")
-    magic = fill[1]
-    final = magic_result.trace.final_graph
+    _, magic, opened = fill
+    if trace.vertex_count != g.vertex_count:
+        raise PreconditionError("engine result is not a completion of this graph")
+    inserted = {(step.u, step.v) for step in trace.listed_steps}
+    kept = {
+        (u, v): trace.distance(u, v)
+        for u, v in g.pairs()
+        if (u, v) not in inserted and not opened[u] >> v & 1
+    }
+    if kept != g.edges:
+        raise PreconditionError("engine result is not a completion of this graph")
     if other.vertex_count != g.vertex_count or not other.is_complete():
         raise PreconditionError("other completion must be complete on the same vertices")
     for pair, d in g.edges.items():
         if other.edges.get(pair) != d:
             raise PreconditionError(f"other completion changes input edge {pair}")
     for u, v in g.pairs():
-        dv = final.distance(u, v)
+        dv = trace.distance(u, v)
         ov = other.distance(u, v)
         if not (ov >= dv >= magic or ov <= dv <= magic):
             return SandwichReport(False, (u, v), dv, ov)

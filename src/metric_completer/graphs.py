@@ -153,13 +153,10 @@ def cycle_graph(labels) -> EdgeLabelledGraph:
 def canonical_cycle(labels) -> tuple[int, ...]:
     """The smallest label sequence over all rotations and both orientations."""
     seq = tuple(labels)
-    if len(seq) < 3:
+    n = len(seq)
+    if n < 3:
         raise RangeError("a cycle needs at least 3 labels")
-    candidates = []
-    for variant in (seq, seq[::-1]):
-        for i in range(len(variant)):
-            candidates.append(variant[i:] + variant[:i])
-    return min(candidates)
+    return min(ring[i:i + n] for ring in (seq + seq, seq[::-1] * 2) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -427,9 +424,7 @@ def _distance_maps(source: EdgeLabelledGraph, target: EdgeLabelledGraph, embed: 
     """
     n = source.vertex_count
     m = target.vertex_count
-    rows = [[None] * m for _ in range(m)]  # rows[x][y] is target.distance(x, y)
-    for x in range(m):
-        rows[x][x] = 0
+    rows = [{x: 0} for x in range(m)]  # rows[x].get(y) is target.distance(x, y)
     for (x, y), d in target.edges.items():
         rows[x][y] = rows[y][x] = d
     # vertex i keeps its distance d to each j < i: its edges, and with embed
@@ -455,7 +450,7 @@ def _distance_maps(source: EdgeLabelledGraph, target: EdgeLabelledGraph, embed: 
                 break
             row = rows[candidate]
             for j, d in checks:  # a plain loop: all() over a generator is ~3x slower
-                if row[images[j]] != d:
+                if row.get(images[j]) != d:
                     break
             else:
                 images[i] = candidate
@@ -556,14 +551,13 @@ def verify_eppa_witness(
     if len(inclusion) != small.vertex_count:
         raise PreconditionError("inclusion map must cover every vertex of the subgraph")
     if len(set(inclusion)) != len(inclusion) or any(
-        not 0 <= x < big.vertex_count for x in inclusion
+        type(x) is not int or not 0 <= x < big.vertex_count for x in inclusion
     ):
         raise PreconditionError("inclusion map must embed vertices injectively")
+    auts = automorphisms(big)
     for x, y in itertools.combinations(range(small.vertex_count), 2):
         if small.distance(x, y) != big.distance(inclusion[x], inclusion[y]):
             raise PreconditionError("subgraph is not induced under the inclusion map")
-
-    auts = automorphisms(big)
     checked = 0
     for pmap in partial_automorphisms(small):
         checked += 1

@@ -77,8 +77,7 @@ def obstacle_trace(
         (1, 2): trace.distance(j, k),
     }
     expansions: list[Expansion] = []
-    top_rank = 2 * params.delta + 1
-    for level in range(top_rank, 0, -1):
+    for level in sorted({s.rank for s in trace.listed_steps}, reverse=True):
         for (p, q), d in sorted(edges.items()):
             gu, gv = hom[p], hom[q]
             image = (gu, gv) if gu < gv else (gv, gu)
@@ -271,7 +270,7 @@ def substitute_forks(cycle, params: Params, magic: int | None = None):
     seq = tuple(cycle)
     if len(seq) < 3:
         raise RangeError("a cycle needs at least 3 labels")
-    if not all(1 <= x <= params.delta for x in seq):
+    if not all(type(x) is int and 1 <= x <= params.delta for x in seq):
         raise RangeError(f"cycle {seq} has a label outside 1..{params.delta}")
     out = []
     for i, x in enumerate(seq):

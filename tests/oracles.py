@@ -83,6 +83,19 @@ def family_tag_oracle(a: int, b: int, x: int, params: Params) -> Family:
     raise AssertionError(f"fork ({a}, {b}) does not generate {x}")
 
 
+def canonical_cycle_reference(labels) -> tuple[int, ...]:
+    """canonical_cycle the direct way: list every rotation of the sequence
+    and of its reverse, then take the least."""
+    seq = tuple(labels)
+    if len(seq) < 3:
+        raise RangeError("a cycle needs at least 3 labels")
+    candidates = []
+    for variant in (seq, seq[::-1]):
+        for i in range(len(variant)):
+            candidates.append(variant[i:] + variant[:i])
+    return min(candidates)
+
+
 def canonical_cycles_oracle(delta: int, size: int) -> list[tuple[int, ...]]:
     """Every canonical label sequence, ascending: each sequence that starts
     with its least label and equals its own canonical_cycle."""

@@ -295,6 +295,16 @@ class TestComplete:
         )
         assert code == 0
 
+    def test_one_matching_flag_accepted(self, capsys, graph_file):
+        path = graph_file("fork16.graph", FORK16)
+        assert run(capsys, "complete", path, "--delta", "6") == run(capsys, "complete", path)
+
+    def test_flags_not_given_are_read_from_the_file(self, capsys, graph_file):
+        path = graph_file("fork16.graph", FORK16)
+        code, _, err = run(capsys, "complete", path, "--k", "3")
+        assert code == 1
+        assert err == "error: parameters 6 3 15 disagree with the graph file (6 2 15)\n"
+
     def test_edges_of_an_input_that_fails_at_once_are_sorted(self, capsys, graph_file):
         # the forbidden triangle 1,1,6 stops the engine before any rank, so the
         # final graph is the input, its edges in file order; both writers sort

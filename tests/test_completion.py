@@ -1228,6 +1228,24 @@ class TestSandwich:
         with pytest.raises(PreconditionError, match="^engine result is not a completion$"):
             check_sandwich(g, res, oracle_complete(g, PAR))
 
+    def test_reads_the_trace_not_the_final_graph(self):
+        g = fork_input(1, 2)
+        res = complete_magic(g, PAR, 4)
+        assert check_sandwich(g, res, oracle_complete(g, PAR)).holds
+        assert res.trace._graph is None
+
+    def test_refuses_a_result_of_another_graph(self):
+        # one of four vertices, and one that kept an edge the empty
+        # triangle does not have
+        g = EdgeLabelledGraph(3)
+        other = oracle_complete(g, PAR)
+        for source in (EdgeLabelledGraph(4), EdgeLabelledGraph(3, [(0, 1, 1)])):
+            res = complete_magic(source, PAR, 4)
+            with pytest.raises(
+                PreconditionError, match="^engine result is not a completion of this graph$"
+            ):
+                check_sandwich(g, res, other)
+
     def test_requires_a_complete_other(self):
         g = fork_input(1, 1)
         res = complete_magic(g, PAR, 4)

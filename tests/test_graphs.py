@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +40,7 @@ from metric_completer.params import _triangle_table
 
 from oracles import (
     automorphisms_oracle,
+    canonical_cycle_reference,
     distance_maps_reference,
     label_bits,
     sweep_universe,
@@ -59,6 +63,23 @@ def random_graph(rng, n, delta, edge_prob=0.6):
         if rng.random() < edge_prob:
             edges.append((u, v, rng.randint(1, delta)))
     return EdgeLabelledGraph(n, edges)
+
+
+def run_capped(expression: str) -> str:
+    """repr(expression), evaluated in a child whose address space is capped
+    at 512 MB, where building quadratic scratch space raises MemoryError."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        f"sys.path.insert(0, {str(Path(graphs.__file__).parents[1])!r})\n"
+        "from metric_completer import EdgeLabelledGraph, canonical_cycle, find_homomorphism\n"
+        f"print(repr({expression}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
 
 
 class TestGraph:
@@ -220,6 +241,19 @@ class TestCycles:
         assert canonical_cycle(canonical_cycle((5, 1, 4, 2))) == canonical_cycle(
             (5, 1, 4, 2)
         )
+
+    def test_canonical_matches_the_rotation_list(self):
+        # every label sequence of each small space, against the form that
+        # lists all 2n rotations before taking their least
+        for delta, top in ((2, 12), (3, 8), (4, 7), (6, 5)):
+            for size in range(3, top + 1):
+                for seq in itertools.product(range(1, delta + 1), repeat=size):
+                    assert canonical_cycle(seq) == canonical_cycle_reference(seq), seq
+
+    def test_long_cycle_in_bounded_memory(self):
+        # the 2n rotations of 8001 labels, listed at once, take about 1 GB
+        out = run_capped("canonical_cycle([1] * 8000 + [2]) == (1,) * 8000 + (2,)")
+        assert out == "True\n"
 
     @given(
         st.lists(st.integers(1, 6), min_size=3, max_size=8),
@@ -515,6 +549,11 @@ class TestHomomorphism:
         for (u, v), d in path.edges.items():
             assert path.distance(hom[u], hom[v]) == d
 
+    def test_large_target_in_bounded_memory(self):
+        # a 20000 x 20000 matrix of the target's distances takes about 3 GB
+        out = run_capped("find_homomorphism(EdgeLabelledGraph(1), EdgeLabelledGraph(20000))")
+        assert out == "(0,)\n"
+
 
 class TestDistanceMapSearch:
     @pytest.mark.slow
@@ -707,6 +746,7 @@ class TestEppa:
         ((1, 1), "inclusion map must embed vertices injectively"),
         ((1, 3), "inclusion map must embed vertices injectively"),
         ((-1, 0), "inclusion map must embed vertices injectively"),
+        ((1.5, 0), "inclusion map must embed vertices injectively"),
     ])
     def test_inclusion_must_embed(self, inclusion, message):
         a = EdgeLabelledGraph(2, [(0, 1, 2)])
@@ -734,6 +774,13 @@ class TestEppa:
             verify_eppa_witness(small, small)
         with pytest.raises(CapacityError):
             verify_eppa_witness(EdgeLabelledGraph(2), EdgeLabelledGraph(10))
+
+    def test_capacity_refused_before_the_induced_check(self):
+        # the edge of a is not in b, but b is over the automorphism cap,
+        # which is checked first: the induced check is quadratic in small
+        a = EdgeLabelledGraph(2, [(0, 1, 2)])
+        with pytest.raises(CapacityError):
+            verify_eppa_witness(a, EdgeLabelledGraph(10))
 
 
 class TestFileFormat:

@@ -300,7 +300,7 @@ class TestSubstitution:
             assert len(cand) == 4
 
     def test_rejects_labels_outside_range(self):
-        for cycle in ((1, 1, 7), (0, 1, 1)):
+        for cycle in ((1, 1, 7), (0, 1, 1), (1, 1.0, 5)):
             with pytest.raises(RangeError, match="outside 1..6"):
                 substitute_forks(cycle, PAR)
 
