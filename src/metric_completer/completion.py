@@ -255,35 +255,43 @@ def complete_magic(
     return CompletionResult(trace, violations(g, params, dist, N))
 
 
-def _decide_cycles(cycles, params: Params, magic: int) -> int:
-    """Which of ``cycles`` complete_magic fails on, as a mask over lanes.
+def _decide_cycles(blocks, params: Params, magic: int) -> int:
+    """Which cycles of ``blocks`` complete_magic fails on, as a mask over lanes.
 
-    ``cycles`` is a list of label sequences of one length, each label in
-    1..delta; bit L of the result is set when ``cycle_graph(cycles[L])``
-    fails.  Every cycle runs the same rank schedule, so they are decided
-    together, bit-sliced: bit L of ``D[u][v][d]`` is set when pair (u, v) of
-    cycle L carries d, and bit L of ``opened[p]`` when chord p is still open.
-    No fork of a family has the family's distance as an arm, so the pairs a
-    rank fills never serve as witnesses within that rank, and the rank can
-    fill each open pair on every lane at once.  A cycle of 4 or more has no
-    input triangle, and that of a 3-cycle is still there for the final check,
-    so the engine's check of the input needs no counterpart.
+    ``blocks`` is a list of ``(head, lo, hi)``, the cycles ``head + (x,)``
+    for x in lo..hi-1, all of one length, each label in 1..delta; lane L is
+    the L-th cycle in order, and bit L of the result is set when its
+    ``cycle_graph`` fails.  A single cycle ``c`` is the block
+    ``(c[:-1], c[-1], c[-1] + 1)``.  Every cycle runs the same rank
+    schedule, so they are decided together, bit-sliced: bit L of
+    ``D[u][v][d]`` is set when pair (u, v) of cycle L carries d, and bit L
+    of ``opened[p]`` when chord p is still open.  No fork of a family has
+    the family's distance as an arm, so the pairs a rank fills never serve
+    as witnesses within that rank, and the rank can fill each open pair on
+    every lane at once.  A cycle of 4 or more has no input triangle, and
+    that of a 3-cycle is still there for the final check, so the engine's
+    check of the input needs no counterpart.
     """
-    if not cycles:
+    if not blocks:
         return 0
     families = fork_families(magic, params)
     delta = params.delta
-    n = len(cycles[0])
-    full = (1 << len(cycles)) - 1
+    n = len(blocks[0][0]) + 1
+    blocks = blocks[::-1]  # last lane first, so int(..., 2) puts lane L at bit L
+    labels = "".join(map(chr, range(delta + 1)))  # label d as the character chr(d)
+    columns = [
+        "".join([labels[head[i]] * (hi - lo) for head, lo, hi in blocks]) for i in range(n - 1)
+    ]
+    columns.append("".join([labels[hi - 1 : lo - 1 : -1] for _, lo, hi in blocks]))
+    full = (1 << len(columns[0])) - 1
     D = [[None] * n for _ in range(n)]
     for u, v in itertools.combinations(range(n), 2):
         D[u][v] = D[v][u] = [0] * (delta + 1)
     digits = ["0"] * (delta + 1)  # str.translate table: label -> one bit digit
-    for i, column in enumerate(zip(*reversed(cycles))):
-        # one character per lane, last lane first, so int(..., 2) puts lane L at bit L
-        text = "".join(map(chr, column))
+    for i, text in enumerate(columns):
+        # one character per lane, so each label's lanes read as one binary numeral
         masks = D[i][(i + 1) % n]
-        for d in set(column):
+        for d in map(ord, set(text)):
             digits[d] = "1"
             masks[d] = int(text.translate(digits), 2)
             digits[d] = "0"

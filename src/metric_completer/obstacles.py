@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from bisect import bisect_right
+from itertools import accumulate
 from math import gcd
 
 from .completion import CompletionStatus, complete_magic, oracle_complete
@@ -147,8 +148,10 @@ class ObstacleCatalogue:
             raise FormatError("catalogue entries must be ascending and distinct")
 
 
-def _canonical_cycles(delta: int, size: int):
-    """Every canonical sequence of ``size`` labels in 1..delta, ascending.
+def _canonical_blocks(delta: int, size: int):
+    """Every canonical sequence of ``size`` labels in 1..delta, ascending,
+    in blocks ``(head, lo, hi)``: the sequences ``head + (x,)`` for x in
+    lo..hi-1, with ``head`` the first ``size - 1`` labels.
 
     The canonical sequences are the bracelets: the necklaces (least among
     their rotations) that no rotation of their reverse undercuts.  They come
@@ -165,9 +168,11 @@ def _canonical_cycles(delta: int, size: int):
     mirrored positions later settle it.
 
     Sawada's recursion runs here as a loop over the positions t, keeping the
-    arguments of each position's later children in R, S and U; the last
-    position emits its labels without descending.  The generator is lazy:
-    it raises RangeError for a size below 3 on the first next().
+    arguments of each position's later children in R, S and U.  The last
+    position's children are one run of labels up to delta, its first child
+    included when that passes, so each visit to it yields at most one block,
+    with ``hi = delta + 1``, and no two blocks share a head.  The generator
+    is lazy: it raises RangeError for a size below 3 on the first next().
     """
     if size < 3:
         raise RangeError("a cycle needs at least 3 labels")
@@ -176,7 +181,6 @@ def _canonical_cycles(delta: int, size: int):
     R = [0] * n
     S = [False] * n
     U = [0] * n
-    ends = [(j,) for j in range(delta + 1)]
     for first in range(1, delta + 1):
         a[1] = first
         t, p, r, u, v, rs = 2, 1, 1, 1, 1, False
@@ -208,8 +212,14 @@ def _canonical_cycles(delta: int, size: int):
                     t += 1
                     continue
             else:
-                # the last position: its children are the sequences themselves
-                head = tuple(a[1:n])
+                # the last position: its children are the sequences themselves;
+                # the later children a[n] = j > x have p = n; j meets a[r + 1]
+                if r + 1 < n:
+                    lo = a[r + 1] + rs
+                    if lo <= x:
+                        lo = x + 1
+                else:
+                    lo = delta + 1 if rs else x + 1
                 q, s = r, rs  # for the first child, a[n] = x
                 if u != n and x == first:
                     q = 0  # pruned
@@ -219,12 +229,11 @@ def _canonical_cycles(delta: int, size: int):
                     if q < n and x != a[q + 1]:
                         s = x < a[q + 1]
                     if not s:
-                        yield head + (x,)
-                # the later children a[n] = j > x have p = n; j meets a[r + 1]
-                if r + 1 < n:
-                    yield from map(head.__add__, ends[max(x + 1, a[r + 1] + rs) :])
-                elif not rs:
-                    yield from map(head.__add__, ends[x + 1 :])
+                        # it passes only with x above a[r + 1], or equal to
+                        # it and rs unset, so the later children start at x + 1
+                        lo = x
+                if lo <= delta:
+                    yield tuple(a[1:n]), lo, delta + 1
                 t = n - 1
             # the next child of the deepest position that has one
             while a[t] == delta:
@@ -236,27 +245,57 @@ def _canonical_cycles(delta: int, size: int):
             t += 1
 
 
-# Cycles decided per _decide_cycles call, so that memory stays bounded by
-# one chunk of cycle tuples while the cycles stream in.  The Python work of
-# a call is fixed and each lane only widens the masks it ANDs, so wide chunks
-# are cheaper per cycle: on the 4291 canonical 6-cycles at (6, 2, 15) (Python
-# 3.11, shared 2-core VM) 256 lanes took about 4-5 ms, 4096 about 2.3 ms and
-# 16384 about 2.2 ms.
+# Lanes decided per _decide_cycles call, so that memory stays bounded by one
+# chunk of blocks while the blocks stream in.  The Python work of a call is
+# fixed and each lane only widens the masks it ANDs, so wide chunks are
+# cheaper per cycle: on the 4291 canonical 6-cycles at (6, 2, 15), in 1,705
+# blocks (Python 3.11, shared 2-core VM), the decider calls took about 3.1 ms
+# at 256 lanes, 1.7 ms at 4096 and 1.6 ms at 16384, and _refused with the
+# generator's walk about 4.7, 3.2 and 3.1 ms.
 _LANES = 4096
 
 
-def _refused(cycles, params: Params, magic: int) -> list[tuple[int, ...]]:
-    """The cycles of ``cycles`` that the engine cannot complete, in order,
-    decided _LANES at a time."""
+def _refused(blocks, params: Params, magic: int) -> list[tuple[int, ...]]:
+    """The cycles of ``blocks`` that the engine cannot complete, in order.
+
+    The blocks are decided _LANES lanes at a time, a block split where a
+    chunk ends, and a cycle's tuple is built only when it is refused.
+    """
     out = []
-    cycles = iter(cycles)
-    while chunk := list(islice(cycles, _LANES)):
+    for chunk in _chunks(blocks):
         refused = _decide_cycles(chunk, params, magic)
+        if not refused:
+            continue
+        starts = list(accumulate([hi - lo for _, lo, hi in chunk], initial=0))
         while refused:
             low = refused & -refused
             refused ^= low
-            out.append(chunk[low.bit_length() - 1])
+            lane = low.bit_length() - 1
+            b = bisect_right(starts, lane) - 1
+            head, lo, _ = chunk[b]
+            out.append(head + (lo + lane - starts[b],))
     return out
+
+
+def _chunks(blocks):
+    """``blocks`` regrouped into lists of at most _LANES lanes, in order; a
+    block that crosses a chunk's end is split there."""
+    chunk, lanes = [], 0
+    for block in blocks:
+        head, lo, hi = block
+        lanes += hi - lo
+        if lanes < _LANES:
+            chunk.append(block)
+            continue
+        while lanes >= _LANES:  # the block reaches the end of the chunk: cut it there
+            cut = hi - (lanes - _LANES)
+            chunk.append((head, lo, cut))
+            yield chunk
+            chunk, lanes, lo = [], lanes - _LANES, cut
+        if lo < hi:
+            chunk.append((head, lo, hi))
+    if chunk:
+        yield chunk
 
 
 def substitute_forks(cycle, params: Params, magic: int | None = None):
@@ -316,13 +355,13 @@ def enumerate_obstacle_cycles(
         count = _count_over_budget(params.delta, size, budget)
         if count is not None:
             raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
-        found = _refused(_canonical_cycles(params.delta, size), params, magic)
+        found = _refused(_canonical_blocks(params.delta, size), params, magic)
         return ObstacleCatalogue(params, size, method, tuple(found))
 
     built = _canonical_cycle_count(params.delta, 3)
     if built > budget:
         raise CapacityError(f"{built} candidate cycles exceed the budget of {budget}")
-    current = _refused(_canonical_cycles(params.delta, 3), params, magic)
+    current = _refused(_canonical_blocks(params.delta, 3), params, magic)
     for _ in range(3, size):
         if not current:
             break
@@ -334,8 +373,9 @@ def enumerate_obstacle_cycles(
             for base in current
             for cand in substitute_forks(base, params, magic)
         }
-        current = _refused(candidates, params, magic)
-    return ObstacleCatalogue(params, size, method, tuple(sorted(current)))
+        blocks = ((cyc[:-1], cyc[-1], cyc[-1] + 1) for cyc in sorted(candidates))
+        current = _refused(blocks, params, magic)
+    return ObstacleCatalogue(params, size, method, tuple(current))
 
 
 @dataclass(frozen=True)
@@ -351,7 +391,7 @@ _SAMPLE_SEED = 0
 
 
 def _canonical_cycle_count(delta: int, size: int) -> int:
-    """How many sequences _canonical_cycles(delta, size) yields, by
+    """How many sequences _canonical_blocks(delta, size) holds, by
     Burnside's lemma: N necklaces over the rotations, then the bracelets
     over the rotations and reflections of a ``size``-gon."""
     necklaces = sum(delta ** gcd(i, size) for i in range(size)) // size
@@ -366,21 +406,33 @@ def _sample_non_entries(catalogue: ObstacleCatalogue) -> list[tuple[int, ...]]:
     or all of them when there are at most _SAMPLE_SIZE.
 
     random.sample picks by position alone, so the positions are drawn from
-    the count of non-entries, and one pass over the canonical cycles, which
-    stops after the last of them, picks the sequences out.
+    the count of non-entries, and one pass over the canonical blocks, which
+    stops after the last of them, picks the sequences out: each block counts
+    its last labels less the entries with its head, and only a sampled
+    position builds its sequence.
     """
     delta, size = catalogue.params.delta, catalogue.size
-    entries = set(catalogue.cycles)
-    total = _canonical_cycle_count(delta, size) - len(entries)
+    total = _canonical_cycle_count(delta, size) - len(catalogue.cycles)
     if total > _SAMPLE_SIZE:
         positions = random.Random(_SAMPLE_SEED).sample(range(total), _SAMPLE_SIZE)
     else:
         positions = range(total)
-    picked = dict.fromkeys(positions)
-    others = filterfalse(entries.__contains__, _canonical_cycles(delta, size))
-    for pos, seq in enumerate(islice(others, max(positions, default=-1) + 1)):
-        if pos in picked:
-            picked[pos] = seq
+    entries: dict[tuple[int, ...], list[int]] = {}  # head -> its last labels, ascending
+    for cyc in catalogue.cycles:
+        entries.setdefault(cyc[:-1], []).append(cyc[-1])
+    picked = {}
+    blocks = _canonical_blocks(delta, size)
+    start = end = 0  # the positions of the block's first non-entry and of the next block's
+    for pos in sorted(positions):
+        while end <= pos:
+            head, lo, hi = next(blocks)
+            taken = entries.get(head, ())  # no two blocks share a head
+            start, end = end, end + hi - lo - len(taken)
+        x = lo + pos - start
+        for t in taken:  # step over the entries at or below the label
+            if t <= x:
+                x += 1
+        picked[pos] = head + (x,)
     return [picked[pos] for pos in positions]
 
 

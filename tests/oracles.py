@@ -33,7 +33,7 @@ from metric_completer import (
 )
 from metric_completer.completion import _count_over_budget
 from metric_completer.graphs import MAX_VERTICES
-from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE
+from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE, _canonical_blocks
 from metric_completer.params import _check_distance, _triangle_table
 
 
@@ -108,13 +108,26 @@ def canonical_cycles_oracle(delta: int, size: int) -> list[tuple[int, ...]]:
     return out
 
 
+def canonical_cycles(delta: int, size: int):
+    """The canonical sequences obstacles._canonical_blocks yields, one tuple
+    per sequence, lazily."""
+    for head, lo, hi in _canonical_blocks(delta, size):
+        for x in range(lo, hi):
+            yield head + (x,)
+
+
+def one_lane_blocks(cycles) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each cycle as its own block of _decide_cycles, one lane wide."""
+    return [(cyc[:-1], cyc[-1], cyc[-1] + 1) for cyc in cycles]
+
+
 def canonical_necklaces_oracle(delta: int, size: int):
     """Every canonical label sequence, ascending, from the necklaces: the
     Fredricksen-Kessler-Maiorana algorithm walks the prenecklaces in
     lexicographic order; one whose longest Lyndon prefix, of length p,
     divides ``size`` is a necklace, the least of its rotations.  A necklace
     is canonical when no rotation of its reverse is smaller.  The reference
-    for the bracelet generator obstacles._canonical_cycles."""
+    for the bracelet generator obstacles._canonical_blocks."""
     if size < 3:
         raise RangeError("a cycle needs at least 3 labels")
     a = [1] * size

@@ -500,13 +500,13 @@ class TestObstacles:
     def test_verify_walks_the_canonical_cycles_twice(self, capsys, monkeypatch):
         # one pass to decide every cycle, one to pick the sampled non-entries
         passes = []
-        generate = obstacles._canonical_cycles
+        generate = obstacles._canonical_blocks
 
         def counting(delta, size):
             passes.append((delta, size))
             return generate(delta, size)
 
-        monkeypatch.setattr(obstacles, "_canonical_cycles", counting)
+        monkeypatch.setattr(obstacles, "_canonical_blocks", counting)
         code, _, err = run(
             capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
             "--n", "6", "--verify",

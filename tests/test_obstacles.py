@@ -42,9 +42,11 @@ from metric_completer.obstacles import _canonical_cycle_count, _sample_non_entri
 from metric_completer.params import _triangle_table
 
 from oracles import (
+    canonical_cycles,
     canonical_cycles_oracle,
     canonical_necklaces_oracle,
     cycle_completes_oracle,
+    one_lane_blocks,
     sample_non_entries_oracle,
 )
 
@@ -116,7 +118,7 @@ def decider_mismatches(cycles, params, magic):
     """The cycles on which _decide_cycles and one engine run per cycle
     disagree; a lane set beyond the last cycle counts as a mismatch too."""
     cycles = list(cycles)
-    refused = _decide_cycles(cycles, params, magic)
+    refused = _decide_cycles(one_lane_blocks(cycles), params, magic)
     wrong = [
         seq
         for lane, seq in enumerate(cycles)
@@ -387,7 +389,7 @@ class TestEnumeration:
         ]
         cases += [(2, size) for size in range(8, 17)] + [(3, 8), (3, 9), (3, 10), (6, 7)]
         for delta, size in cases:
-            assert list(obstacles._canonical_cycles(delta, size)) == (
+            assert list(canonical_cycles(delta, size)) == (
                 canonical_cycles_oracle(delta, size)
             ), (delta, size)
 
@@ -459,7 +461,7 @@ class TestEnumeration:
     def test_default_budget_matches_the_cli(self, monkeypatch):
         # 6^9 = 10077696 sequences are within the default budget of 10**8,
         # as with the CLI's --budget; the generator yields nothing here
-        monkeypatch.setattr(obstacles, "_canonical_cycles", lambda delta, size: iter(()))
+        monkeypatch.setattr(obstacles, "_canonical_blocks", lambda delta, size: iter(()))
         assert enumerate_obstacle_cycles(PAR, 9).cycles == ()
         with pytest.raises(CapacityError, match="^10077696 label sequences exceed the budget"):
             enumerate_obstacle_cycles(PAR, 9, budget=10**7)
@@ -519,7 +521,7 @@ class TestCanonicalCycles:
         [(6, 3), (6, 4), (6, 5), (6, 6), (6, 7), (5, 6), (3, 8), (2, 9), (4, 10), (1, 12)],
     )
     def test_matches_the_necklace_walk(self, delta, size):
-        assert list(obstacles._canonical_cycles(delta, size)) == list(
+        assert list(canonical_cycles(delta, size)) == list(
             canonical_necklaces_oracle(delta, size)
         )
 
@@ -527,7 +529,7 @@ class TestCanonicalCycles:
         for delta in range(1, 7):
             for size in range(3, 21):
                 if delta**size <= 10**6:
-                    count = sum(1 for _ in obstacles._canonical_cycles(delta, size))
+                    count = sum(1 for _ in canonical_cycles(delta, size))
                     assert _canonical_cycle_count(delta, size) == count, (delta, size)
 
     def test_count_matches_the_published_binary_counts(self):
@@ -536,12 +538,12 @@ class TestCanonicalCycles:
 
     def test_generation_is_lazy(self):
         # 6**12 sequences: only a generator that streams returns at once
-        first = list(itertools.islice(obstacles._canonical_cycles(6, 12), 5))
+        first = list(itertools.islice(canonical_cycles(6, 12), 5))
         assert first == [(1,) * 11 + (x,) for x in range(1, 6)]
 
     @pytest.mark.parametrize("size", [2, 1, 0, -1])
     def test_size_below_three_is_refused_on_first_next(self, size):
-        cycles = obstacles._canonical_cycles(6, size)
+        cycles = obstacles._canonical_blocks(6, size)
         with pytest.raises(RangeError, match="^a cycle needs at least 3 labels$"):
             next(cycles)
 
@@ -553,19 +555,19 @@ class TestCycleDecider:
         for par in acceptable_triples(range(2, 6)):
             for magic in magic_distances(par):
                 for size in (3, 4, 5, 6):
-                    cycles = obstacles._canonical_cycles(par.delta, size)
+                    cycles = canonical_cycles(par.delta, size)
                     assert decider_mismatches(cycles, par, magic) == [], (par, magic)
 
     def test_delta_six_up_to_size_five(self):
         for par in acceptable_triples([6]):
             for magic in magic_distances(par):
                 for size in (3, 4, 5):
-                    cycles = obstacles._canonical_cycles(6, size)
+                    cycles = canonical_cycles(6, size)
                     assert decider_mismatches(cycles, par, magic) == [], (par, magic)
 
     @pytest.mark.parametrize("magic", [3, 4])
     def test_six_cycles(self, magic):
-        cycles = obstacles._canonical_cycles(6, 6)
+        cycles = canonical_cycles(6, 6)
         assert decider_mismatches(cycles, PAR, magic) == []
 
     def test_raw_sequences(self):
@@ -590,13 +592,16 @@ class TestCycleDecider:
         big = Params(300, 1, 700)
         shifted = {m: shifted_families(fork_families(m, PAR), 294) for m in (3, 4)}
         table = shifted_table(_triangle_table(PAR), 294)
-        cases = []
+        cases, block_cases = [], []
         for size in (3, 4, 5, 6):
-            cycles = list(obstacles._canonical_cycles(6, size))
+            cycles = list(canonical_cycles(6, size))
             if size == 6:
                 cycles = cycles[::7] + CYCLES_6
+            blocks = list(obstacles._canonical_blocks(6, size))
             for magic in (3, 4):
-                cases.append((cycles, magic, _decide_cycles(cycles, PAR, magic)))
+                mask = _decide_cycles(one_lane_blocks(cycles), PAR, magic)
+                cases.append((cycles, magic, mask))
+                block_cases.append((blocks, magic, _decide_cycles(blocks, PAR, magic)))
 
         def fake(magic, params):
             return shifted[magic - 294]
@@ -607,6 +612,9 @@ class TestCycleDecider:
         for cycles, magic, mask in cases:
             raised = [tuple(x + 294 for x in cyc) for cyc in cycles]
             assert decider_mismatches(raised, big, magic + 294) == [], magic
+            assert _decide_cycles(one_lane_blocks(raised), big, magic + 294) == mask
+        for blocks, magic, mask in block_cases:
+            raised = [(tuple(x + 294 for x in head), lo + 294, hi + 294) for head, lo, hi in blocks]
             assert _decide_cycles(raised, big, magic + 294) == mask
 
     def test_follows_the_engine_in_any_rank_order(self, monkeypatch):
@@ -620,7 +628,7 @@ class TestCycleDecider:
         monkeypatch.setattr(completion, "fork_families", reversed_schedule)
         for magic in (3, 4):
             for size in (3, 4, 5):
-                cycles = obstacles._canonical_cycles(6, size)
+                cycles = canonical_cycles(6, size)
                 assert decider_mismatches(cycles, PAR, magic) == [], (magic, size)
 
     def test_no_cycles_decide_to_no_lanes(self):
@@ -632,11 +640,50 @@ class TestCycleDecider:
         for par in acceptable_triples(range(2, 7)):
             for magic in magic_distances(par):
                 for size in (3, 4, 5, 6):
-                    cycles = obstacles._canonical_cycles(par.delta, size)
+                    cycles = canonical_cycles(par.delta, size)
                     assert decider_mismatches(cycles, par, magic) == [], (par, magic)
 
 
-CANONICAL_5 = list(obstacles._canonical_cycles(6, 5))
+class TestBlocks:
+    """The generator's blocks against the same cycles one lane each, the
+    form the blocks replaced, in the decider and in _refused's chunks."""
+
+    CASES = [
+        (par, magic, size)
+        for par in acceptable_triples(range(2, 6)) + [PAR]
+        for magic in magic_distances(par)
+        for size in (3, 4, 5, 6)
+    ]
+
+    def test_blocks_are_runs_up_to_delta_with_distinct_heads(self):
+        # one block per visit to the last position: 1,705 for 4,291 cycles
+        assert len(list(obstacles._canonical_blocks(6, 6))) == 1705
+        for delta in range(1, 7):
+            for size in range(3, 8):
+                blocks = list(obstacles._canonical_blocks(delta, size))
+                assert all(1 <= lo < hi == delta + 1 for _, lo, hi in blocks), (delta, size)
+                assert len({head for head, _, _ in blocks}) == len(blocks), (delta, size)
+
+    def test_blocks_decide_as_single_lanes(self):
+        for par, magic, size in self.CASES:
+            blocks = list(obstacles._canonical_blocks(par.delta, size))
+            single = one_lane_blocks(canonical_cycles(par.delta, size))
+            assert _decide_cycles(blocks, par, magic) == _decide_cycles(single, par, magic), (
+                par, magic, size
+            )
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 4096])
+    def test_refused_splits_blocks_at_chunk_edges(self, monkeypatch, lanes):
+        monkeypatch.setattr(obstacles, "_LANES", lanes)
+        for par, magic, size in self.CASES:
+            cycles = list(canonical_cycles(par.delta, size))
+            mask = _decide_cycles(one_lane_blocks(cycles), par, magic)
+            expected = [cyc for lane, cyc in enumerate(cycles) if mask >> lane & 1]
+            blocks = obstacles._canonical_blocks(par.delta, size)
+            assert obstacles._refused(blocks, par, magic) == expected, (par, magic, size)
+
+
+CANONICAL_5 = list(canonical_cycles(6, 5))
 ROTATED_5 = [cyc[1:] + cyc[:1] for cyc in CYCLES_5]
 
 
@@ -654,6 +701,8 @@ def sample_cases():
         ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5[:-20])),
         ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5[:-21])),
         ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5)),
+        # entries between non-entries of one head, inside the generator's blocks
+        ObstacleCatalogue(PAR, 5, "exhaustive", tuple(CANONICAL_5[::3])),
     ]
     return cases
 
@@ -755,7 +804,7 @@ class TestVerifyCatalogue:
 
         real = enumerate_obstacle_cycles(PAR, 5).cycles
         monkeypatch.setattr(obstacles, "oracle_complete", no_search)
-        monkeypatch.setattr(obstacles, "_canonical_cycles", no_search)
+        monkeypatch.setattr(obstacles, "_canonical_blocks", no_search)
         for entry in ((1, 1, 6), (1, 1, 1, 1, 1, 1, 6)):
             with pytest.raises(FormatError) as caught:
                 ObstacleCatalogue(PAR, 5, "exhaustive", (entry,) + real)
@@ -768,7 +817,7 @@ class TestVerifyCatalogue:
             raise AssertionError("searched before the budget check")
 
         monkeypatch.setattr(obstacles, "oracle_complete", no_search)
-        monkeypatch.setattr(obstacles, "_canonical_cycles", no_search)
+        monkeypatch.setattr(obstacles, "_canonical_blocks", no_search)
         catalogue = parse_catalogue("catalogue 6 2 15 12 exhaustive\n")
         with pytest.raises(
             CapacityError,
