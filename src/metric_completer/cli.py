@@ -305,17 +305,23 @@ def cmd_complete(args) -> int:
 def cmd_obstacles(args) -> int:
     params = Params(args.delta, args.k, args.c)
     # open --output first, so that an unwritable path fails before the search,
-    # but in append mode: an existing file is emptied only once the search,
-    # and the verification over budget (exit 3), are done
+    # but in append mode: an existing file is emptied only once the search and
+    # the verification over budget (exit 3) are done; a new one goes if they fail
+    created = args.output is not None and not os.path.exists(args.output)
     with open(args.output, "a") if args.output else nullcontext(sys.stdout) as out:
-        catalogue = enumerate_obstacle_cycles(
-            params, args.n, method=args.method, magic=args.magic, budget=args.budget
-        )
-        report = verify_catalogue(catalogue, budget=args.budget) if args.verify else None
-        if args.output:
-            out.truncate(0)
-        out.write(format_catalogue(catalogue))
-        out.flush()  # a full device fails here, before the summary below
+        try:
+            catalogue = enumerate_obstacle_cycles(
+                params, args.n, method=args.method, magic=args.magic, budget=args.budget
+            )
+            report = verify_catalogue(catalogue, budget=args.budget) if args.verify else None
+            if args.output:
+                out.truncate(0)
+            out.write(format_catalogue(catalogue))
+            out.flush()  # a full device fails here, before the summary below
+        except BaseException:
+            if created:
+                os.remove(args.output)
+            raise
     print(
         f"n={catalogue.size}: {len(catalogue.cycles)} cycles ({catalogue.method})",
         file=sys.stderr,

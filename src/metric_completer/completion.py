@@ -255,85 +255,6 @@ def complete_magic(
     return CompletionResult(trace, violations(g, params, dist, N))
 
 
-def _decide_cycles(blocks, params: Params, magic: int) -> int:
-    """Which cycles of ``blocks`` complete_magic fails on, as a mask over lanes.
-
-    ``blocks`` is a list of ``(head, lo, hi)``, the cycles ``head + (x,)``
-    for x in lo..hi-1, all of one length, each label in 1..delta; lane L is
-    the L-th cycle in order, and bit L of the result is set when its
-    ``cycle_graph`` fails.  A single cycle ``c`` is the block
-    ``(c[:-1], c[-1], c[-1] + 1)``.  Every cycle runs the same rank
-    schedule, so they are decided together, bit-sliced: bit L of
-    ``D[u][v][d]`` is set when pair (u, v) of cycle L carries d, and bit L
-    of ``opened[p]`` when chord p is still open.  No fork of a family has
-    the family's distance as an arm, so the pairs a rank fills never serve
-    as witnesses within that rank, and the rank can fill each open pair on
-    every lane at once.  A cycle of 4 or more has no input triangle, and
-    that of a 3-cycle is still there for the final check, so the engine's
-    check of the input needs no counterpart.
-    """
-    if not blocks:
-        return 0
-    families = fork_families(magic, params)
-    delta = params.delta
-    n = len(blocks[0][0]) + 1
-    blocks = blocks[::-1]  # last lane first, so int(..., 2) puts lane L at bit L
-    labels = "".join(map(chr, range(delta + 1)))  # label d as the character chr(d)
-    columns = [
-        "".join([labels[head[i]] * (hi - lo) for head, lo, hi in blocks]) for i in range(n - 1)
-    ]
-    columns.append("".join([labels[hi - 1 : lo - 1 : -1] for _, lo, hi in blocks]))
-    full = (1 << len(columns[0])) - 1
-    D = [[None] * n for _ in range(n)]
-    for u, v in itertools.combinations(range(n), 2):
-        D[u][v] = D[v][u] = [0] * (delta + 1)
-    digits = ["0"] * (delta + 1)  # str.translate table: label -> one bit digit
-    for i, text in enumerate(columns):
-        # one character per lane, so each label's lanes read as one binary numeral
-        masks = D[i][(i + 1) % n]
-        for d in map(ord, set(text)):
-            digits[d] = "1"
-            masks[d] = int(text.translate(digits), 2)
-            digits[d] = "0"
-    # the pairs that are not cycle edges, open on every lane
-    chords = [(u, v) for u, v in itertools.combinations(range(n), 2) if 1 < v - u < n - 1]
-    opened = [full] * len(chords)
-    for _, x, fam in families.schedule:
-        for p, (u, v) in enumerate(chords):
-            if not opened[p]:
-                continue
-            reach = 0  # lanes with a path u -a- w -b- v for some fork (a, b)
-            for w in range(n):
-                if w != u and w != v:
-                    Duw, Dwv = D[u][w], D[w][v]
-                    for a, b in fam:
-                        reach |= Duw[a] & Dwv[b]
-            filled = reach & opened[p]
-            if filled:
-                D[u][v][x] |= filled
-                opened[p] ^= filled
-
-    for (u, v), lanes in zip(chords, opened):
-        D[u][v][magic] |= lanes
-
-    forbidden = _triangle_table(params)[1]
-    failed = 0
-    for i, j, k in itertools.combinations(range(n), 3):
-        Dij, Dik, Djk = D[i][j], D[i][k], D[j][k]
-        for a in range(1, delta + 1):
-            lanes = Dij[a]
-            if not lanes:
-                continue
-            for c, bs in forbidden[a]:
-                hits = lanes & Djk[c]
-                if hits:
-                    third = 0
-                    for b in bs:
-                        third |= Dik[b]
-                    failed |= hits & third
-    return failed
-
-
 def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> CompletionResult:
     """Fill every non-edge with its path distance capped at delta.
 

@@ -5,15 +5,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from bisect import bisect_right
-from itertools import accumulate
+from itertools import combinations
 from math import gcd
 
-from .completion import CompletionStatus, complete_magic, oracle_complete
-from .completion import _count_over_budget, _decide_cycles
+from .completion import CompletionStatus, _count_over_budget, complete_magic, oracle_complete
 from .errors import CapacityError, FormatError, PreconditionError, RangeError
 from .graphs import EdgeLabelledGraph, canonical_cycle, cycle_graph
-from .params import Params, TriangleStatus, fork_families
+from .params import Params, TriangleStatus, _triangle_table, fork_families
 
 
 @dataclass(frozen=True)
@@ -245,57 +243,143 @@ def _canonical_blocks(delta: int, size: int):
             t += 1
 
 
-# Lanes decided per _decide_cycles call, so that memory stays bounded by one
-# chunk of blocks while the blocks stream in.  The Python work of a call is
-# fixed and each lane only widens the masks it ANDs, so wide chunks are
-# cheaper per cycle: on the 4291 canonical 6-cycles at (6, 2, 15), in 1,705
-# blocks (Python 3.11, shared 2-core VM), the decider calls took about 3.1 ms
-# at 256 lanes, 1.7 ms at 4096 and 1.6 ms at 16384, and _refused with the
-# generator's walk about 4.7, 3.2 and 3.1 ms.
+def _decide_cycles(blocks, params: Params, magic: int) -> int:
+    """Which cycles of ``blocks`` complete_magic fails on, as a mask over lanes.
+
+    ``blocks`` is a list of ``(head, lo, hi)``, the cycles ``head + (x,)``
+    for x in lo..hi-1, all of one length, each label in 1..delta; lane L is
+    the L-th cycle in order, and bit L of the result is set when its
+    ``cycle_graph`` fails.  A single cycle ``c`` is the block
+    ``(c[:-1], c[-1], c[-1] + 1)``.  Every cycle runs the same rank
+    schedule, so they are decided together, bit-sliced: bit L of
+    ``D[u][v][d]`` is set when pair (u, v) of cycle L carries d, and bit L
+    of ``opened[p]`` when chord p is still open.  No fork of a family has
+    the family's distance as an arm, so the pairs a rank fills never serve
+    as witnesses within that rank, and the rank can fill each open pair on
+    every lane at once.  A cycle of 4 or more has no input triangle, and
+    that of a 3-cycle is still there for the final check, so the engine's
+    check of the input needs no counterpart.
+    """
+    if not blocks:
+        return 0
+    families = fork_families(magic, params)
+    delta = params.delta
+    n = len(blocks[0][0]) + 1
+    blocks = blocks[::-1]  # last lane first, so int(..., 2) puts lane L at bit L
+    labels = "".join(map(chr, range(delta + 1)))  # label d as the character chr(d)
+    columns = [
+        "".join([labels[head[i]] * (hi - lo) for head, lo, hi in blocks]) for i in range(n - 1)
+    ]
+    columns.append("".join([labels[hi - 1 : lo - 1 : -1] for _, lo, hi in blocks]))
+    full = (1 << len(columns[0])) - 1
+    D = [[None] * n for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        D[u][v] = D[v][u] = [0] * (delta + 1)
+    digits = ["0"] * (delta + 1)  # str.translate table: label -> one bit digit
+    for i, text in enumerate(columns):
+        # one character per lane, so each label's lanes read as one binary numeral
+        masks = D[i][(i + 1) % n]
+        for d in map(ord, set(text)):
+            digits[d] = "1"
+            masks[d] = int(text.translate(digits), 2)
+            digits[d] = "0"
+    # the pairs that are not cycle edges, open on every lane
+    chords = [(u, v) for u, v in combinations(range(n), 2) if 1 < v - u < n - 1]
+    opened = [full] * len(chords)
+    for _, x, fam in families.schedule:
+        for p, (u, v) in enumerate(chords):
+            if not opened[p]:
+                continue
+            reach = 0  # lanes with a path u -a- w -b- v for some fork (a, b)
+            for w in range(n):
+                if w != u and w != v:
+                    Duw, Dwv = D[u][w], D[w][v]
+                    for a, b in fam:
+                        reach |= Duw[a] & Dwv[b]
+            filled = reach & opened[p]
+            if filled:
+                D[u][v][x] |= filled
+                opened[p] ^= filled
+
+    for (u, v), lanes in zip(chords, opened):
+        D[u][v][magic] |= lanes
+
+    forbidden = _triangle_table(params)[1]
+    failed = 0
+    for i, j, k in combinations(range(n), 3):
+        Dij, Dik, Djk = D[i][j], D[i][k], D[j][k]
+        for a in range(1, delta + 1):
+            lanes = Dij[a]
+            if not lanes:
+                continue
+            for c, bs in forbidden[a]:
+                hits = lanes & Djk[c]
+                if hits:
+                    third = 0
+                    for b in bs:
+                        third |= Dik[b]
+                    failed |= hits & third
+    return failed
+
+
+# Lanes decided per _decide_cycles call: a chunk closes at _LANES lanes or
+# more and no block is cut, so with the generator's blocks of at most delta
+# lanes, memory stays bounded by one chunk of fewer than _LANES + delta lanes.
+# The Python work of a call is fixed and each lane only widens the masks it
+# ANDs, so wide chunks are cheaper per cycle: on the 4291 canonical 6-cycles
+# at (6, 2, 15), in 1,705 blocks (Python 3.11, shared 2-core VM), the decider
+# calls took about 3.3 ms at 256 lanes, 1.7 ms at 4096 and 1.6 ms at 16384,
+# and _refused with the generator's walk about 5.1, 3.2 and 3.2 ms.
 _LANES = 4096
 
 
 def _refused(blocks, params: Params, magic: int) -> list[tuple[int, ...]]:
-    """The cycles of ``blocks`` that the engine cannot complete, in order.
-
-    The blocks are decided _LANES lanes at a time, a block split where a
-    chunk ends, and a cycle's tuple is built only when it is refused.
-    """
+    """The cycles of ``blocks`` that the engine cannot complete, in order,
+    decided a chunk at a time; a cycle's tuple is built only if refused."""
     out = []
     for chunk in _chunks(blocks):
         refused = _decide_cycles(chunk, params, magic)
-        if not refused:
-            continue
-        starts = list(accumulate([hi - lo for _, lo, hi in chunk], initial=0))
+        lanes = []
         while refused:
             low = refused & -refused
             refused ^= low
-            lane = low.bit_length() - 1
-            b = bisect_right(starts, lane) - 1
-            head, lo, _ = chunk[b]
-            out.append(head + (lo + lane - starts[b],))
+            lanes.append(low.bit_length() - 1)
+        out.extend(_cycles_at(chunk, lanes, {}))
     return out
 
 
 def _chunks(blocks):
-    """``blocks`` regrouped into lists of at most _LANES lanes, in order; a
-    block that crosses a chunk's end is split there."""
+    """``blocks`` in lists, in order, each closed once it holds _LANES lanes
+    or more; a block is never cut."""
     chunk, lanes = [], 0
     for block in blocks:
-        head, lo, hi = block
-        lanes += hi - lo
-        if lanes < _LANES:
-            chunk.append(block)
-            continue
-        while lanes >= _LANES:  # the block reaches the end of the chunk: cut it there
-            cut = hi - (lanes - _LANES)
-            chunk.append((head, lo, cut))
+        chunk.append(block)
+        lanes += block[2] - block[1]
+        if lanes >= _LANES:
             yield chunk
-            chunk, lanes, lo = [], lanes - _LANES, cut
-        if lo < hi:
-            chunk.append((head, lo, hi))
+            chunk, lanes = [], 0
     if chunk:
         yield chunk
+
+
+def _cycles_at(blocks, positions, skip):
+    """Yield the cycle at each of the ascending ``positions`` of ``blocks``,
+    counted without the cycles of ``skip``, which maps a head to its last
+    labels, ascending.  Position p is the p-th cycle in order, and the walk
+    stops after the last position.  A head in ``skip`` heads one block only.
+    """
+    blocks = iter(blocks)
+    start = end = 0  # the positions of the block's first cycle and of the next block's
+    for pos in positions:
+        while end <= pos:
+            head, lo, hi = next(blocks)
+            taken = skip.get(head, ())
+            start, end = end, end + hi - lo - len(taken)
+        x = lo + pos - start
+        for t in taken:  # step over the skipped labels at or below the label
+            if t <= x:
+                x += 1
+        yield head + (x,)
 
 
 def substitute_forks(cycle, params: Params, magic: int | None = None):
@@ -331,8 +415,9 @@ def enumerate_obstacle_cycles(
     completion engine would.  method="substitution" grows candidates from the
     forbidden triangles by fork substitution, filtering each generation the
     same way; it can only reach substitution-generated cycles.  Both decide
-    _LANES cycles per bit-sliced _decide_cycles call.  A ``size`` that is not
-    an int raises RangeError before anything else is checked.
+    a chunk of about _LANES cycles per bit-sliced _decide_cycles call.  A
+    ``size`` that is not an int raises RangeError before anything else is
+    checked.
 
     ``budget`` caps the work: delta**size, the count of label sequences, for
     the exhaustive method, which walks only the canonical cycles among them,
@@ -406,10 +491,8 @@ def _sample_non_entries(catalogue: ObstacleCatalogue) -> list[tuple[int, ...]]:
     or all of them when there are at most _SAMPLE_SIZE.
 
     random.sample picks by position alone, so the positions are drawn from
-    the count of non-entries, and one pass over the canonical blocks, which
-    stops after the last of them, picks the sequences out: each block counts
-    its last labels less the entries with its head, and only a sampled
-    position builds its sequence.
+    the count of non-entries, and _cycles_at picks the sequences out in one
+    pass over the canonical blocks, with the entries skipped.
     """
     delta, size = catalogue.params.delta, catalogue.size
     total = _canonical_cycle_count(delta, size) - len(catalogue.cycles)
@@ -420,19 +503,8 @@ def _sample_non_entries(catalogue: ObstacleCatalogue) -> list[tuple[int, ...]]:
     entries: dict[tuple[int, ...], list[int]] = {}  # head -> its last labels, ascending
     for cyc in catalogue.cycles:
         entries.setdefault(cyc[:-1], []).append(cyc[-1])
-    picked = {}
-    blocks = _canonical_blocks(delta, size)
-    start = end = 0  # the positions of the block's first non-entry and of the next block's
-    for pos in sorted(positions):
-        while end <= pos:
-            head, lo, hi = next(blocks)
-            taken = entries.get(head, ())  # no two blocks share a head
-            start, end = end, end + hi - lo - len(taken)
-        x = lo + pos - start
-        for t in taken:  # step over the entries at or below the label
-            if t <= x:
-                x += 1
-        picked[pos] = head + (x,)
+    ascending = sorted(positions)
+    picked = dict(zip(ascending, _cycles_at(_canonical_blocks(delta, size), ascending, entries)))
     return [picked[pos] for pos in positions]
 
 

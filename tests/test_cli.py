@@ -555,6 +555,26 @@ class TestObstacles:
         assert code == 0
         assert target.read_text() == CATALOGUE_3
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("--n", "2"), 1),
+            (("--n", "5", "--magic", "9"), 1),
+            (("--n", "7", "--verify"), 3),
+            (("--n", "5", "--verify", "--budget", "1000"), 3),
+        ],
+        ids=["n-2", "magic-9", "oracle-budget", "budget-1000"],
+    )
+    def test_failed_search_leaves_no_new_output(self, capsys, tmp_path, argv, code):
+        # a file this run created is removed again; the exit code and stderr
+        # are those of the same run without --output
+        command = ("obstacles", "--delta", "6", "--k", "2", "--c", "15", *argv)
+        expected = run(capsys, *command)
+        assert expected[:2] == (code, "")
+        target = tmp_path / "new.txt"
+        assert run(capsys, *command, "--output", str(target)) == expected
+        assert not target.exists()
+
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     @pytest.mark.parametrize(
         "argv",

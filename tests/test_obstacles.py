@@ -37,8 +37,7 @@ from metric_completer import (
     verify_catalogue,
     violations,
 )
-from metric_completer.completion import _decide_cycles
-from metric_completer.obstacles import _canonical_cycle_count, _sample_non_entries
+from metric_completer.obstacles import _canonical_cycle_count, _decide_cycles, _sample_non_entries
 from metric_completer.params import _triangle_table
 
 from oracles import (
@@ -607,7 +606,9 @@ class TestCycleDecider:
             return shifted[magic - 294]
 
         monkeypatch.setattr(completion, "fork_families", fake)
+        monkeypatch.setattr(obstacles, "fork_families", fake)
         monkeypatch.setattr(completion, "_triangle_table", lambda params: table)
+        monkeypatch.setattr(obstacles, "_triangle_table", lambda params: table)
         monkeypatch.setattr(graphs, "_triangle_table", lambda params: table)
         for cycles, magic, mask in cases:
             raised = [tuple(x + 294 for x in cyc) for cyc in cycles]
@@ -626,6 +627,7 @@ class TestCycleDecider:
             return dataclasses.replace(families, schedule=families.schedule[::-1])
 
         monkeypatch.setattr(completion, "fork_families", reversed_schedule)
+        monkeypatch.setattr(obstacles, "fork_families", reversed_schedule)
         for magic in (3, 4):
             for size in (3, 4, 5):
                 cycles = canonical_cycles(6, size)
@@ -673,7 +675,7 @@ class TestBlocks:
             )
 
     @pytest.mark.parametrize("lanes", [1, 2, 3, 4096])
-    def test_refused_splits_blocks_at_chunk_edges(self, monkeypatch, lanes):
+    def test_refused_across_chunk_edges(self, monkeypatch, lanes):
         monkeypatch.setattr(obstacles, "_LANES", lanes)
         for par, magic, size in self.CASES:
             cycles = list(canonical_cycles(par.delta, size))
@@ -681,6 +683,46 @@ class TestBlocks:
             expected = [cyc for lane, cyc in enumerate(cycles) if mask >> lane & 1]
             blocks = obstacles._canonical_blocks(par.delta, size)
             assert obstacles._refused(blocks, par, magic) == expected, (par, magic, size)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 4096])
+    def test_chunks_hold_whole_blocks(self, monkeypatch, lanes):
+        # joined, the chunks are the blocks given; each but the last holds
+        # _LANES lanes or more, and each fewer than _LANES plus the widest
+        # block, delta for the generator's blocks
+        monkeypatch.setattr(obstacles, "_LANES", lanes)
+        for delta in range(1, 7):
+            for size in (3, 4, 5, 6):
+                generated = list(obstacles._canonical_blocks(delta, size))
+                for blocks in (generated, one_lane_blocks(canonical_cycles(delta, size))):
+                    chunks = list(obstacles._chunks(iter(blocks)))
+                    assert [b for chunk in chunks for b in chunk] == blocks, (delta, size)
+                    held = [sum(hi - lo for _, lo, hi in chunk) for chunk in chunks]
+                    widest = max(hi - lo for _, lo, hi in blocks)
+                    assert all(h >= lanes for h in held[:-1]), (delta, size)
+                    assert all(h < lanes + widest for h in held), (delta, size)
+
+    def test_positions_map_to_the_cycles_left(self):
+        # the walk against the expanded list with the skipped cycles taken
+        # out; unskipped, it reads one-lane blocks as _refused does
+        rng = random.Random(0)
+        for delta in range(1, 5):
+            for size in range(3, 7):
+                cycles = list(canonical_cycles(delta, size))
+                taken = {cyc for cyc in cycles if rng.random() < 0.3}
+                skip = {}
+                for cyc in sorted(taken):
+                    skip.setdefault(cyc[:-1], []).append(cyc[-1])
+                left = [cyc for cyc in cycles if cyc not in taken]
+                for given, rest, skipped in (
+                    (obstacles._canonical_blocks(delta, size), left, skip),
+                    (one_lane_blocks(cycles), cycles, {}),
+                ):
+                    if not rest:
+                        continue
+                    drawn = rng.sample(range(len(rest)), min(10, len(rest)))
+                    positions = sorted({0, len(rest) - 1, *drawn})
+                    got = list(obstacles._cycles_at(given, positions, skipped))
+                    assert got == [rest[p] for p in positions], (delta, size)
 
 
 CANONICAL_5 = list(canonical_cycles(6, 5))
