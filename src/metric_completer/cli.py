@@ -18,6 +18,7 @@ from operator import getitem
 
 from .completion import CompletionStatus, Family, complete_magic
 from .errors import (
+    DEFAULT_BUDGET,
     CapacityError,
     FormatError,
     ParameterError,
@@ -308,13 +309,13 @@ def cmd_obstacles(args) -> int:
     # but in append mode: an existing file is emptied only once the search and
     # the verification over budget (exit 3) are done; a new one goes if they fail
     created = args.output is not None and not os.path.exists(args.output)
-    with open(args.output, "a") if args.output else nullcontext(sys.stdout) as out:
+    with open(args.output, "a") if args.output is not None else nullcontext(sys.stdout) as out:
         try:
             catalogue = enumerate_obstacle_cycles(
                 params, args.n, method=args.method, magic=args.magic, budget=args.budget
             )
             report = verify_catalogue(catalogue, budget=args.budget) if args.verify else None
-            if args.output:
+            if args.output is not None:
                 out.truncate(0)
             out.write(format_catalogue(catalogue))
             out.flush()  # a full device fails here, before the summary below
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obst.add_argument("--method", choices=METHODS, default="exhaustive")
     p_obst.add_argument("--verify", action="store_true",
                         help="cross-check the catalogue against the oracle")
-    p_obst.add_argument("--budget", type=_budget, default=10**8,
+    p_obst.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="oracle assignment cap, cap on delta^n for the "
                              "exhaustive method, which walks the canonical "
                              "cycles, and on the candidate cycles the substitution "

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import CapacityError, PreconditionError
+from .errors import DEFAULT_BUDGET, PreconditionError, _check_budget
 from .graphs import EdgeLabelledGraph, TriangleViolation, violations
 from .params import Family, Params, _check_distance, _triangle_table, fork_families
 
@@ -294,21 +294,7 @@ def shortest_path_completion(g: EdgeLabelledGraph, params: Params) -> Completion
     return CompletionResult(trace, violations(trace.final_graph, params, dist))
 
 
-def _count_over_budget(base: int, exponent: int, budget: int) -> str | None:
-    """``base ** exponent`` as text when it exceeds ``budget``, else None.
-
-    A count that may pass 64 bits is written ``base^exponent``.  As base >= 2,
-    such a count is over budget once exponent >= budget.bit_length(), and the
-    power is not built then.
-    """
-    if exponent * base.bit_length() <= 64:
-        count = base**exponent
-        return str(count) if count > budget else None
-    over = exponent >= budget.bit_length() or base**exponent > budget
-    return f"{base}^{exponent}" if over else None
-
-
-def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8):
+def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = DEFAULT_BUDGET):
     """Yield every completion of ``g`` in the class, depth first.
 
     The holes are counted, and the budget checked on ``delta**holes``, before
@@ -328,11 +314,9 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
     delta = params.delta
     n = g.vertex_count
     holes = n * (n - 1) // 2 - len(g.edges)
-    count = _count_over_budget(delta, holes, budget) if holes else None
-    if count is not None:
-        raise CapacityError(
-            f"{holes} unset pairs mean {count} assignments, "
-            f"over the budget of {budget}"
+    if holes:
+        _check_budget(
+            "{exponent} unset pairs mean {count} assignments, over", budget, delta, holes
         )
     dist = g.matrix()
     if violations(g, params, dist):
@@ -368,7 +352,7 @@ def oracle_completions(g: EdgeLabelledGraph, params: Params, budget: int = 10**8
 
 
 def oracle_complete(
-    g: EdgeLabelledGraph, params: Params, budget: int = 10**8
+    g: EdgeLabelledGraph, params: Params, budget: int = DEFAULT_BUDGET
 ) -> EdgeLabelledGraph | None:
     """The first completion found by exhaustive search, or None."""
     return next(oracle_completions(g, params, budget), None)

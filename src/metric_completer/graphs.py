@@ -8,6 +8,8 @@ automorphisms, and the extension-property verifier built on them.
 from __future__ import annotations
 
 import itertools
+import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -221,11 +223,12 @@ class ViolationView(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
+        index = operator.index(index)  # a list's TypeError for any other type
         if index == 0 and self._first is not None:
             return self._first
         if index < 0:
             index += len(self)
-        if index >= 0:
+        if 0 <= index <= sys.maxsize:  # islice's bound, beyond any scan's length
             for found in itertools.islice(self, index, None):
                 return found
         raise IndexError("violation index out of range")

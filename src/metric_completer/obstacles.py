@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .completion import CompletionStatus, _count_over_budget, complete_magic, oracle_complete
-from .errors import CapacityError, FormatError, PreconditionError, RangeError
+from .completion import CompletionStatus, complete_magic, oracle_complete
+from .errors import DEFAULT_BUDGET, FormatError, PreconditionError, RangeError, _check_budget
 from .graphs import EdgeLabelledGraph, canonical_cycle, cycle_graph
 from .params import Params, TriangleStatus, _triangle_table, fork_families
 
@@ -407,7 +407,7 @@ def enumerate_obstacle_cycles(
     size: int,
     method: str = "exhaustive",
     magic: int | None = None,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
 ) -> ObstacleCatalogue:
     """All non-completable cycles with ``size`` edges, up to canonical form.
 
@@ -437,22 +437,18 @@ def enumerate_obstacle_cycles(
         raise FormatError(f"unknown method {method!r}")
 
     if method == "exhaustive":
-        count = _count_over_budget(params.delta, size, budget)
-        if count is not None:
-            raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
+        _check_budget("{count} label sequences exceed", budget, params.delta, size)
         found = _refused(_canonical_blocks(params.delta, size), params, magic)
         return ObstacleCatalogue(params, size, method, tuple(found))
 
     built = _canonical_cycle_count(params.delta, 3)
-    if built > budget:
-        raise CapacityError(f"{built} candidate cycles exceed the budget of {budget}")
+    _check_budget("{count} candidate cycles exceed", budget, built)
     current = _refused(_canonical_blocks(params.delta, 3), params, magic)
     for _ in range(3, size):
         if not current:
             break
         built += sum(len(families.family(x)) for base in current for x in base)
-        if built > budget:
-            raise CapacityError(f"{built} candidate cycles exceed the budget of {budget}")
+        _check_budget("{count} candidate cycles exceed", budget, built)
         candidates = {
             canonical_cycle(cand)
             for base in current
@@ -508,34 +504,29 @@ def _sample_non_entries(catalogue: ObstacleCatalogue) -> list[tuple[int, ...]]:
     return [picked[pos] for pos in positions]
 
 
-def verify_catalogue(catalogue: ObstacleCatalogue, budget: int = 10**8) -> CatalogueReport:
+def verify_catalogue(
+    catalogue: ObstacleCatalogue, budget: int = DEFAULT_BUDGET
+) -> CatalogueReport:
     """Cross-check a catalogue against the exhaustive oracle.
 
     Every entry must refuse completion outright; a seeded random sample of
-    _SAMPLE_SIZE same-length canonical non-entries must complete.  The
-    non-entries are drawn from every label sequence of the catalogue's size,
-    so a size whose delta**size sequences exceed ``budget`` raises
-    CapacityError before any search.
+    _SAMPLE_SIZE same-length canonical non-entries must complete.  They are
+    drawn from the canonical cycles; delta**size, the count of label
+    sequences, bounds both their closed-form count and the walk that picks
+    them out, so a size over ``budget`` raises CapacityError before any search.
     """
     params = catalogue.params
-    count = _count_over_budget(params.delta, catalogue.size, budget)
-    if count is not None:
-        raise CapacityError(f"{count} label sequences exceed the budget of {budget}")
+    _check_budget("{count} label sequences exceed", budget, params.delta, catalogue.size)
+    entries = len(catalogue.cycles)
     for cyc in catalogue.cycles:
         if oracle_complete(cycle_graph(cyc), params, budget) is not None:
-            return CatalogueReport(
-                False, len(catalogue.cycles), 0, f"entry {cyc} completes"
-            )
+            return CatalogueReport(False, entries, 0, f"entry {cyc} completes")
     others = _sample_non_entries(catalogue)
     for cyc in others:
         if oracle_complete(cycle_graph(cyc), params, budget) is None:
-            return CatalogueReport(
-                False,
-                len(catalogue.cycles),
-                len(others),
-                f"non-entry {cyc} has no completion",
-            )
-    return CatalogueReport(True, len(catalogue.cycles), len(others))
+            failure = f"non-entry {cyc} has no completion"
+            return CatalogueReport(False, entries, len(others), failure)
+    return CatalogueReport(True, entries, len(others))
 
 
 def format_cycle_labels(cycle) -> str:

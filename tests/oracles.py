@@ -31,7 +31,6 @@ from metric_completer import (
     oracle_completions,
     violations,
 )
-from metric_completer.completion import _count_over_budget
 from metric_completer.graphs import MAX_VERTICES
 from metric_completer.obstacles import _SAMPLE_SEED, _SAMPLE_SIZE, _canonical_blocks
 from metric_completer.params import _check_distance, _triangle_table
@@ -393,8 +392,8 @@ def oracle_completions_reference(g: EdgeLabelledGraph, params: Params, budget: i
     delta = params.delta
     n = g.vertex_count
     holes = n * (n - 1) // 2 - len(g.edges)
-    count = _count_over_budget(delta, holes, budget) if holes else None
-    if count is not None:
+    if holes and delta**holes > budget:
+        count = delta**holes if holes * delta.bit_length() <= 64 else f"{delta}^{holes}"
         raise CapacityError(
             f"{holes} unset pairs mean {count} assignments, "
             f"over the budget of {budget}"

@@ -525,17 +525,35 @@ class TestObstacles:
         assert out == ""
         assert target.read_text() == CATALOGUE_3
 
-    def test_output_is_opened_before_the_search(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "directory, error",
+        [
+            (True, "[Errno 21] Is a directory: '{}'"),
+            (False, "[Errno 2] No such file or directory: ''"),
+        ],
+        ids=["directory", "empty"],
+    )
+    def test_output_is_opened_before_the_search(
+        self, capsys, tmp_path, monkeypatch, directory, error
+    ):
+        # an empty path names no file: it is refused at the early open too,
+        # and never taken for stdout.  A search that ran would fail with the
+        # same text, from removing the file it took for its own, so its
+        # calls are counted
+        searched = []
+
         def search(*args, **kwargs):
+            searched.append(args)
             raise AssertionError("the search ran before --output was opened")
 
         monkeypatch.setattr(cli, "enumerate_obstacle_cycles", search)
+        output = str(tmp_path) if directory else ""
         code, out, err = run(
             capsys, "obstacles", "--delta", "6", "--k", "2", "--c", "15",
-            "--n", "7", "--output", str(tmp_path),
+            "--n", "7", "--output", output,
         )
-        assert (code, out) == (1, "")
-        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert (code, out, searched) == (1, "", [])
+        assert err == f"error: {error.format(tmp_path)}\n"
 
     def test_existing_output_survives_a_failed_search(self, capsys, tmp_path):
         target = tmp_path / "keep.txt"

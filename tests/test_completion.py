@@ -37,7 +37,7 @@ from metric_completer import (
 )
 from metric_completer import graphs
 from metric_completer.graphs import BITSET_MIN_VERTICES, MAX_VERTICES
-from metric_completer.completion import _count_over_budget
+from metric_completer.errors import _check_budget
 from metric_completer.params import _triangle_table
 
 from oracles import (
@@ -134,6 +134,17 @@ def planted_small_graph(rng, n, par, cycle, holes):
         ):
             dist[(u, v)] = d
     return EdgeLabelledGraph(n, [(u, v, d) for (u, v), d in dist.items()])
+
+
+def refused_count(count, exponent, budget):
+    """The count as _check_budget's refusal writes it, or None if it passes."""
+    try:
+        _check_budget("{count}", budget, count, exponent)
+    except CapacityError as refusal:
+        text = str(refusal)
+        assert text.endswith(f" the budget of {budget}")
+        return text.removesuffix(f" the budget of {budget}")
+    return None
 
 
 def relabel(g, perm):
@@ -1147,12 +1158,33 @@ class TestOracle:
             def __pow__(self, exponent):
                 raise AssertionError("the power was built")
 
-        assert _count_over_budget(NoPower(6), 100, 10**8) == "6^100"
-        assert _count_over_budget(NoPower(2), 70, 10**8) == "2^70"
-        assert _count_over_budget(6, 6, 10) == "46656"
-        assert _count_over_budget(6, 6, 46656) is None
-        assert _count_over_budget(2, 100, 2**100) is None
-        assert _count_over_budget(2, 100, 2**100 - 1) == "2^100"
+        assert refused_count(NoPower(6), 100, 10**8) == "6^100"
+        assert refused_count(NoPower(2), 70, 10**8) == "2^70"
+        assert refused_count(6, 6, 10) == "46656"
+        assert refused_count(6, 6, 46656) is None
+        assert refused_count(2, 100, 2**100) is None
+        assert refused_count(2, 100, 2**100 - 1) == "2^100"
+
+    def test_budget_check_matches_the_plain_comparison(self):
+        # the check refuses exactly when the built power exceeds the budget;
+        # the exponents cross the switch to the written power, where
+        # exponent * base.bit_length() passes 64 (2^32 and 2^33, 6^21 and
+        # 6^22, 100^9 and 100^10), and each budget's bit length
+        budgets = (1, 10, 46656, 10**8, 2**100 - 1, 2**100)
+        for base, exponent, budget in itertools.product((2, 6, 100), range(110), budgets):
+            count = base**exponent
+            if count <= budget:
+                expected = None
+            elif exponent * base.bit_length() <= 64:
+                expected = str(count)
+            else:
+                expected = f"{base}^{exponent}"
+            assert refused_count(base, exponent, budget) == expected, (base, exponent, budget)
+        # a plain count, as the substitution method's, is written out in full
+        for budget in budgets:
+            for count in (0, 1, budget - 1, budget, budget + 1, 2**64, 2**65 + 1, 10**30):
+                expected = str(count) if count > budget else None
+                assert refused_count(count, 1, budget) == expected, (count, budget)
 
     def test_label_beyond_delta_is_a_range_error(self):
         # the labels above 6 sit in no complete triangle of the input; on 2

@@ -445,6 +445,13 @@ class TestViolations:
         assert not empty and empty == [] and empty == () and len(empty) == 0
         with pytest.raises(IndexError):
             empty[0]
+        # a bad index raises what it raises on the list of the same triangles
+        for index in (1.5, 0.0, 10**30, -(10**30)):
+            with pytest.raises(Exception) as got:
+                view[index]
+            with pytest.raises(Exception) as want:
+                found[index]
+            assert got.type is want.type, index
 
     def test_repr_shows_three_triangles_at_most(self):
         # K_5 with every label 1: at k = 2 each of its 10 triangles is

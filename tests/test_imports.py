@@ -5,8 +5,9 @@ standard library and itself, nor the gc module, one function classifies
 triangles, the vertex cap is raised only where the distance matrix is
 built, a catalogue's entries are checked only where it is built, a
 completion's trace and result are built only through their constructors,
-in the engine's module, and that module builds no graph through the
-checked constructor."""
+in the engine's module, that module builds no graph through the
+checked constructor, and the search budget's default and refusal are
+written only beside CapacityError."""
 
 import ast
 import sys
@@ -372,3 +373,62 @@ def test_completion_builds_no_graph_through_the_checked_constructor():
     # already, so it takes the trusted constructor
     callers = callers_of(LIBRARY, "EdgeLabelledGraph")
     assert [c for c in callers if c.startswith("completion.py:")] == []
+
+
+def budget_rule_sites(sources: dict[str, str]) -> list[str]:
+    """``module:function what`` for each piece of the search budget rule in
+    ``sources``: the default 10**8, as a power or as its value; a
+    CapacityError built with a text naming "the budget of"; and an import of
+    a private name from the completion module."""
+    out = []
+    for module, where, node in nodes_by_def(sources):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            sides = (node.left, node.right)
+            if all(isinstance(side, ast.Constant) for side in sides):
+                if node.left.value**node.right.value == 10**8:
+                    out.append(f"{module}:{where} {ast.unparse(node)}")
+        elif isinstance(node, ast.Constant) and node.value == 10**8:
+            out.append(f"{module}:{where} {node.value}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapacityError":
+            texts = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant)]
+            if any("the budget of" in str(text) for text in texts):
+                out.append(f"{module}:{where} refusal")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module not in ("completion", f"{OWN}.completion"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    out.append(f"{module}:{where} imports {alias.name}")
+    return out
+
+
+def test_scan_finds_every_piece_of_the_budget_rule():
+    sources = {
+        "a.py": (
+            "from .completion import _count, oracle_complete\n"
+            "from metric_completer.completion import _over\n"
+            "from .errors import _check_budget\n"
+            "def f(budget=10**8, cap=100000000):\n"
+            "    raise CapacityError(f'{n} sequences exceed the budget of {budget}')\n"
+            "def g():\n"
+            "    raise CapacityError('over the cap')\n"
+            "    return 10**9, 2**8, 10**x\n"
+        ),
+    }
+    assert budget_rule_sites(sources) == [
+        "a.py:<module> imports _count",
+        "a.py:<module> imports _over",
+        "a.py:f 10 ** 8",
+        "a.py:f 100000000",
+        "a.py:f refusal",
+    ]
+
+
+def test_the_budget_rule_sits_beside_capacity_error():
+    # one default for --budget and the library's searches, one check that
+    # refuses a count over the budget; obstacles reaches into no private
+    # name of completion for either
+    assert budget_rule_sites(LIBRARY) == [
+        "errors.py:<module> 10 ** 8",
+        "errors.py:_check_budget refusal",
+    ]
