@@ -35,7 +35,11 @@ class EdgeLabelledGraph:
         if type(vertex_count) is not int or vertex_count < 0:
             raise FormatError(f"bad vertex count {vertex_count!r}")
         normalized: dict[tuple[int, int], int] = {}
-        for u, v, d in edges:
+        for edge in edges:
+            try:
+                u, v, d = edge
+            except (TypeError, ValueError):  # not three values
+                raise FormatError(f"bad edge {edge!r}") from None
             if type(u) is not int or type(v) is not int or type(d) is not int:
                 raise FormatError(f"bad edge ({u!r}, {v!r}, {d!r})")
             if u == v:
@@ -125,7 +129,8 @@ class EdgeLabelledGraph:
         return self._hash
 
     def __repr__(self):
-        return f"EdgeLabelledGraph({self.vertex_count}, {sorted(self.edges.items())})"
+        triples = sorted((u, v, d) for (u, v), d in self.edges.items())
+        return f"EdgeLabelledGraph({self.vertex_count}, {triples})"
 
 
 def build_graph(vertex_count: int, edge_list, params: Params) -> EdgeLabelledGraph:
@@ -423,7 +428,9 @@ def _distance_maps(source: EdgeLabelledGraph, target: EdgeLabelledGraph, embed: 
     The search is one loop over a position i: ``images[i]`` is the
     candidate vertex i is tried at, -1 before its first, and candidates are
     tried in ascending order, each against the vertices j < i it must keep
-    its distance to.
+    its distance to.  So it never recurses, however long ``source`` is.  It
+    reads one dict per target vertex, its edges and its 0 to itself, so its
+    memory grows with the target's edges, not with its vertex count squared.
     """
     n = source.vertex_count
     m = target.vertex_count
@@ -545,7 +552,9 @@ def verify_eppa_witness(
 
     ``small`` must sit inside ``big`` as an induced subgraph via ``inclusion``
     (vertex i of small is vertex inclusion[i] of big; identity by default).
-    Reports the first partial automorphism without an extension.
+    Reports the first partial automorphism without an extension.  ``big``
+    meets the cap of automorphisms and ``small`` that of
+    partial_automorphisms, over which each raises CapacityError.
     """
     if inclusion is None:
         inclusion = tuple(range(small.vertex_count))

@@ -2,11 +2,14 @@
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import itertools
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -30,6 +33,7 @@ from metric_completer import (
     format_graph,
     magic_distances,
 )
+import metric_completer
 from metric_completer import cli, obstacles
 from metric_completer.cli import main
 from metric_completer.graphs import MAX_VERTICES, parse_graph
@@ -834,6 +838,67 @@ def test_readme_states_the_caps():
     vertex_cap = f"more than {MAX_VERTICES} vertices (the engine's cap, `graphs.MAX_VERTICES`"
     assert vertex_cap in text
     assert f"delta is above {MAX_DELTA} (`params.MAX_DELTA`" in text
+
+
+def readme_section(title):
+    """The text of the README section headed ``## title``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return next(part for part in readme.split("\n## ") if part.startswith(title + "\n"))
+
+
+def fenced(section, language=""):
+    """The first fenced block of ``section`` opened by ``language``."""
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadme:
+    """The README's examples run as it says they do, and its library map
+    names only what each module holds."""
+
+    def test_the_commands_exit_as_stated(self, capsys, graph_file):
+        # the graph file of the format section is 11665, which does not
+        # complete: each complete run exits 2
+        path = graph_file("graph.txt", fenced(readme_section("Graph files")))
+        commands = [
+            shlex.split(line)
+            for line in fenced(readme_section("Command line"), "sh").splitlines()
+            if line and not line.startswith("#")
+        ]
+        codes = []
+        for program, *argv in commands:
+            assert program == "metric-completer"
+            codes.append(run(capsys, *(path if x == "graph.txt" else x for x in argv))[0])
+        assert [argv[1] for argv in commands] == [
+            "magic", "forks", "complete", "complete", "complete", "obstacles", "trace-obstacle",
+        ]
+        assert codes == [0, 0, 2, 2, 2, 0, 0]
+
+    def test_the_entry_points_run_as_stated(self):
+        namespace = {}
+        exec(fenced(readme_section("Library map"), "python"), namespace)
+        assert namespace["res"].status is CompletionStatus.FAILED
+
+    def test_the_map_names_only_attributes_of_each_module(self):
+        rows = [
+            line.split(" | ", 1)
+            for line in readme_section("Library map").splitlines()
+            if line.startswith("| `metric_completer.")
+        ]
+        assert len(rows) == 6
+        listed = set()
+        for module_cell, contents in rows:
+            module = importlib.import_module(module_cell.strip("|` "))
+            names = re.findall(r"`([^`]*)`", contents)
+            assert names, module.__name__
+            for name in names:
+                assert hasattr(module, name), (module.__name__, name)
+            listed.update(names)
+        # and every name the package exports is listed
+        exports = {
+            name for name, value in vars(metric_completer).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert exports <= listed, exports - listed
 
 
 P = "params 6 2 15\n"

@@ -1186,6 +1186,20 @@ class TestOracle:
                 expected = str(count) if count > budget else None
                 assert refused_count(count, 1, budget) == expected, (count, budget)
 
+    def test_budget_that_is_not_an_int_is_refused(self):
+        # before any comparison, for a small power, one written as a power
+        # and a plain count alike
+        for budget in (1e9, None, True):
+            for count, exponent in ((6, 6), (6, 100), (10, 1)):
+                with pytest.raises(TypeError, match=f"^budget {budget!r} is not an int$"):
+                    _check_budget("{count}", budget, count, exponent)
+            # 5 holes, 66 holes, and an oracle call with none reads no budget
+            for g in (cycle_graph((1, 1, 1, 1, 1)), EdgeLabelledGraph(12)):
+                with pytest.raises(TypeError, match=f"^budget {budget!r} is not an int$"):
+                    oracle_complete(g, PAR, budget=budget)
+            g = cycle_graph((1, 1, 2))
+            assert oracle_complete(g, PAR, budget=budget) == g
+
     def test_label_beyond_delta_is_a_range_error(self):
         # the labels above 6 sit in no complete triangle of the input; on 2
         # vertices in none of the completion either, so only the label check
@@ -1285,6 +1299,49 @@ class TestSandwich:
             PreconditionError, match="^other completion must be complete on the same vertices$"
         ):
             check_sandwich(g, res, g)
+
+    def test_holds_on_both_sides_of_the_bitset_threshold(self):
+        # criterion 8 from 24 to 100 vertices: each completing engine result
+        # against the engine's completions at the other magic distances and
+        # the baseline's, when it completes; criterion 7 on the way, as the
+        # decision must not depend on the magic distance
+        rng = random.Random(41)
+        checks = distinct = failed_everywhere = baseline_completed = 0
+        for par in TRIPLES:
+            inputs = [
+                random_tree_graph(
+                    rng, rng.randint(24, 100), par.delta, rng.choice((0, 0.005, 0.01))
+                )
+                for _ in range(2)
+            ]
+            if par.delta == 6:
+                inputs += [
+                    planted_sparse_graph(rng, rng.randint(24, 100), par, (1, 1, 6, 6, 5), 2)
+                    for _ in range(2)
+                ]
+            for g in inputs:
+                results = [complete_magic(g, par, magic) for magic in magic_distances(par)]
+                statuses = {res.status for res in results}
+                assert len(statuses) == 1, (par, g)
+                baseline = shortest_path_completion(g, par)
+                if baseline.status is CompletionStatus.COMPLETED:
+                    baseline_completed += 1
+                    assert statuses == {CompletionStatus.COMPLETED}, (par, g)
+                if statuses == {CompletionStatus.FAILED}:
+                    failed_everywhere += 1
+                    continue
+                finals = [res.trace.final_graph for res in results]
+                if baseline.status is CompletionStatus.COMPLETED:
+                    finals.append(baseline.trace.final_graph)
+                for i, res in enumerate(results):
+                    for j, other in enumerate(finals):
+                        if i != j:
+                            assert check_sandwich(g, res, other).holds, (par, i, j, g)
+                            checks += 1
+                            distinct += other != finals[i]
+        assert checks >= 400 and distinct >= 300, (checks, distinct)
+        assert failed_everywhere >= 20 and baseline_completed >= 20, (
+            failed_everywhere, baseline_completed)
 
     def test_requires_matching_input_edges(self):
         g = fork_input(1, 1)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,12 @@ class TestGraph:
             with pytest.raises(FormatError, match=message):
                 g.induced(verts)
 
+    def test_repr_is_a_call_the_constructor_accepts(self):
+        partial = EdgeLabelledGraph(5, [(3, 4, 6), (2, 0, 1), (1, 3, 2)])
+        for g in (EdgeLabelledGraph(0), EdgeLabelledGraph(1), cycle_graph((1, 2, 3)), partial):
+            assert eval(repr(g), {"EdgeLabelledGraph": EdgeLabelledGraph}) == g
+        assert repr(partial) == "EdgeLabelledGraph(5, [(0, 2, 1), (1, 3, 2), (3, 4, 6)])"
+
     def test_equality_and_hash(self):
         a = EdgeLabelledGraph(3, [(0, 1, 2), (1, 2, 3)])
         b = EdgeLabelledGraph(3, [(2, 1, 3), (1, 0, 2)])
@@ -170,6 +177,18 @@ class TestGraph:
             EdgeLabelledGraph(2, [(False, True, 1)])
         with pytest.raises(FormatError, match="bad edge"):
             EdgeLabelledGraph(2, [(0, True, 1)])
+        # edges that are not three values: a graph's own edge dict, whose
+        # keys are pairs, a pair, a 4-tuple, a bare int and a dict
+        edges = EdgeLabelledGraph(2, [(0, 1, 1)]).edges
+        for given, shown in (
+            (edges, "(0, 1)"),
+            ([(0, 1)], "(0, 1)"),
+            ([(0, 1, 1, 1)], "(0, 1, 1, 1)"),
+            ([(0, 1, 1), 1], "1"),
+            ([edges], "{(0, 1): 1}"),
+        ):
+            with pytest.raises(FormatError, match=re.escape(f"bad edge {shown}") + "$"):
+                EdgeLabelledGraph(2, given)
 
     def test_duplicate_edge_with_same_label_is_fine(self):
         g = EdgeLabelledGraph(2, [(0, 1, 3), (1, 0, 3)])

@@ -412,6 +412,18 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(CapacityError):
             enumerate_obstacle_cycles(PAR, 6, budget=10)
+        # a budget that is not an int is refused at every size, by each method
+        # and by the verification
+        catalogue = enumerate_obstacle_cycles(PAR, 5)
+        for budget in (1e9, None, True):
+            for call in (
+                lambda: enumerate_obstacle_cycles(PAR, 3, budget=budget),
+                lambda: enumerate_obstacle_cycles(PAR, 30, budget=budget),
+                lambda: enumerate_obstacle_cycles(PAR, 3, "substitution", budget=budget),
+                lambda: verify_catalogue(catalogue, budget=budget),
+            ):
+                with pytest.raises(TypeError, match=f"^budget {budget!r} is not an int$"):
+                    call()
 
     def test_substitution_is_charged_for_its_candidates(self, monkeypatch):
         # 56 canonical 3-cycles, then 58 candidates for length 4: the 6^n
